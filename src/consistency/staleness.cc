@@ -1,6 +1,8 @@
 #include "consistency/staleness.h"
 
 #include <algorithm>
+#include <unordered_map>
+#include <vector>
 
 #include "common/strings.h"
 
@@ -8,7 +10,9 @@ namespace wvm {
 
 StalenessReport MeasureStaleness(const StateLog& log) {
   StalenessReport report;
-  const size_t n = log.source_view_states.size();
+  const ViewStates& src = log.source_view_states;
+  const ViewStates& wh = log.warehouse_view_states;
+  const size_t n = src.size();
   report.lags.assign(n, -1);
 
   // A source state ss_i is "visible" at the first warehouse state recorded
@@ -17,16 +21,28 @@ StalenessReport MeasureStaleness(const StateLog& log) {
   // source has moved on, showing the old value is staleness of a later
   // state's delivery, not visibility of ss_i... we still count it: the
   // paper's consistency definitions are about values, and so are we).
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t born = log.source_state_seq[i];
-    for (size_t j = 0; j < log.warehouse_view_states.size(); ++j) {
-      if (log.warehouse_state_seq[j] < born) {
+  //
+  // Only warehouse states with ss_i's fingerprint can equal it; those are
+  // confirmed exactly, in recording order, so the first confirmed one is
+  // the first equal one.
+  if (n > 0 && !wh.empty()) {
+    StatePair pair(src, wh);
+    std::unordered_map<Fingerprint, std::vector<size_t>, FingerprintHash>
+        by_fingerprint;
+    for (size_t j = 0; j < wh.size(); ++j) {
+      by_fingerprint[pair.warehouse_fingerprint(j)].push_back(j);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      auto it = by_fingerprint.find(pair.source_fingerprint(i));
+      if (it == by_fingerprint.end()) {
         continue;
       }
-      if (log.warehouse_view_states[j] == log.source_view_states[i]) {
-        report.lags[i] =
-            static_cast<int64_t>(log.warehouse_state_seq[j] - born);
-        break;
+      const uint64_t born = src.clock(i);
+      for (size_t j : it->second) {
+        if (wh.clock(j) >= born && pair.Equal(i, j)) {
+          report.lags[i] = static_cast<int64_t>(wh.clock(j) - born);
+          break;
+        }
       }
     }
   }

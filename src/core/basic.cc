@@ -15,7 +15,7 @@ Status BasicIncremental::OnUpdate(const Update& u, WarehouseContext* ctx) {
 Status BasicIncremental::OnAnswer(const AnswerMessage& a,
                                   WarehouseContext* ctx) {
   (void)ctx;
-  mv_.Add(a.Sum());
+  InstallDelta(a.Sum());
   return Status::OK();
 }
 

@@ -3,7 +3,9 @@
 namespace wvm {
 
 Status CompositeEca::Initialize(const Catalog& initial_source_state) {
-  WVM_ASSIGN_OR_RETURN(mv_, composite_->Evaluate(initial_source_state));
+  WVM_ASSIGN_OR_RETURN(Relation view,
+                       composite_->Evaluate(initial_source_state));
+  ReplaceView(std::move(view));
   collect_ = Relation(composite_->output_schema());
   return Status::OK();
 }

@@ -4,7 +4,7 @@ namespace wvm {
 
 Status Deferred::Initialize(const Catalog& initial_source_state) {
   WVM_RETURN_IF_ERROR(inner_->Initialize(initial_source_state));
-  mv_ = inner_->view_contents();
+  MirrorView(*inner_);
   return Status::OK();
 }
 
@@ -27,7 +27,7 @@ Status Deferred::OnBatch(const std::vector<Update>& batch,
 
 Status Deferred::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
   WVM_RETURN_IF_ERROR(inner_->OnAnswer(a, ctx));
-  mv_ = inner_->view_contents();
+  MirrorView(*inner_);
   return Status::OK();
 }
 
@@ -38,7 +38,26 @@ Status Deferred::Flush(WarehouseContext* ctx) {
   std::vector<Update> pending;
   pending.swap(buffer_);
   WVM_RETURN_IF_ERROR(inner_->OnBatch(pending, ctx));
-  mv_ = inner_->view_contents();
+  MirrorView(*inner_);
+  return Status::OK();
+}
+
+std::shared_ptr<const MaintainerSnapshot> Deferred::SnapshotState() const {
+  auto snap = std::make_shared<Snapshot>();
+  snap->mv = view_contents();
+  snap->inner = inner_->SnapshotState();
+  snap->buffer = buffer_;
+  return snap;
+}
+
+Status Deferred::RestoreState(const MaintainerSnapshot& snapshot) {
+  const auto* snap = dynamic_cast<const Snapshot*>(&snapshot);
+  if (snap == nullptr) {
+    return Status::InvalidArgument("snapshot was not taken from Deferred");
+  }
+  WVM_RETURN_IF_ERROR(inner_->RestoreState(*snap->inner));
+  buffer_ = snap->buffer;
+  MirrorView(*inner_);
   return Status::OK();
 }
 

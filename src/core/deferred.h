@@ -48,6 +48,14 @@ class Deferred : public ViewMaintainer {
   bool IsQuiescent() const override {
     return buffer_.empty() && inner_->IsQuiescent();
   }
+  void RecordViewDeltas() override {
+    ViewMaintainer::RecordViewDeltas();
+    inner_->RecordViewDeltas();
+  }
+
+  /// A checkpoint holds the inner maintainer's snapshot and the buffer.
+  std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
+  Status RestoreState(const MaintainerSnapshot& snapshot) override;
 
   /// Hands all buffered updates to the inner maintainer now. The deferred
   /// reading: a query arrived against the warehouse view.
@@ -57,6 +65,11 @@ class Deferred : public ViewMaintainer {
   const ViewMaintainer& inner() const { return *inner_; }
 
  private:
+  struct Snapshot : MaintainerSnapshot {
+    std::shared_ptr<const MaintainerSnapshot> inner;
+    std::vector<Update> buffer;
+  };
+
   std::unique_ptr<ViewMaintainer> inner_;
   int threshold_;
   std::vector<Update> buffer_;

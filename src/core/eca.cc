@@ -38,7 +38,7 @@ Query Eca::BuildCompensatedQuery(const Update& u, uint64_t query_id) const {
 
 void Eca::MaybeInstall() {
   if (uqs_.empty()) {
-    mv_.Add(collect_);
+    InstallDelta(collect_);
     collect_.Clear();
   }
 }
@@ -62,7 +62,7 @@ Status Eca::SendAndTrack(Query q, WarehouseContext* ctx) {
   }
 
   if (options_.apply_immediately) {
-    mv_.Add(local_delta);
+    InstallDelta(local_delta);
   } else {
     collect_.Add(local_delta);
   }
@@ -87,7 +87,7 @@ Status Eca::FoldAnswer(const AnswerMessage& a) {
     return Status::Internal("answer for unknown query id");
   }
   if (options_.apply_immediately) {
-    mv_.Add(a.Sum());
+    InstallDelta(a.Sum());
     return Status::OK();
   }
   collect_.Add(a.Sum());
@@ -102,7 +102,7 @@ Status Eca::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
 
 std::shared_ptr<const MaintainerSnapshot> Eca::SnapshotState() const {
   auto snap = std::make_shared<Snapshot>();
-  snap->mv = mv_;
+  snap->mv = view_contents();
   snap->uqs = uqs_;
   snap->collect = collect_;
   return snap;
@@ -113,7 +113,7 @@ Status Eca::RestoreState(const MaintainerSnapshot& snapshot) {
   if (snap == nullptr) {
     return Status::InvalidArgument("snapshot was not taken from ECA");
   }
-  mv_ = snap->mv;
+  ReplaceView(snap->mv);
   uqs_ = snap->uqs;
   collect_ = snap->collect;
   return Status::OK();

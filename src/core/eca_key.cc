@@ -15,7 +15,7 @@ Status EcaKey::Initialize(const Catalog& initial_source_state) {
                "); ECA-Key is inapplicable (Section 5.4)"));
   }
   WVM_RETURN_IF_ERROR(ViewMaintainer::Initialize(initial_source_state));
-  collect_ = mv_;  // working copy, NOT the empty set
+  collect_ = view_contents();  // working copy, NOT the empty set
   return Status::OK();
 }
 
@@ -63,7 +63,7 @@ bool EcaKey::SupersededByKeyDelete(const Tuple& t,
 
 void EcaKey::MaybeInstall() {
   if (uqs_.empty()) {
-    mv_ = collect_;  // COLLECT is not reset: it remains the working copy
+    ReplaceView(collect_);  // COLLECT is not reset: it stays the working copy
     // No in-flight answer can predate the logged deletes anymore.
     key_delete_log_.clear();
   }
@@ -122,7 +122,7 @@ Status EcaKey::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
 
 std::shared_ptr<const MaintainerSnapshot> EcaKey::SnapshotState() const {
   auto snap = std::make_shared<Snapshot>();
-  snap->mv = mv_;
+  snap->mv = view_contents();
   snap->uqs = uqs_;
   snap->collect = collect_;
   snap->key_delete_log = key_delete_log_;
@@ -134,7 +134,7 @@ Status EcaKey::RestoreState(const MaintainerSnapshot& snapshot) {
   if (snap == nullptr) {
     return Status::InvalidArgument("snapshot was not taken from ECA-Key");
   }
-  mv_ = snap->mv;
+  ReplaceView(snap->mv);
   uqs_ = snap->uqs;
   collect_ = snap->collect;
   key_delete_log_ = snap->key_delete_log;
@@ -146,7 +146,7 @@ void EcaKey::LoseVolatileState() {
   // key-delete log were volatile. The working copy restarts from MV.
   uqs_.clear();
   key_delete_log_.clear();
-  collect_ = mv_;
+  collect_ = view_contents();
 }
 
 }  // namespace wvm

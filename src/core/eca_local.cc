@@ -4,7 +4,7 @@ namespace wvm {
 
 Status EcaLocal::Initialize(const Catalog& initial_source_state) {
   WVM_RETURN_IF_ERROR(ViewMaintainer::Initialize(initial_source_state));
-  staged_ = mv_;
+  staged_ = view_contents();
   return Status::OK();
 }
 
@@ -122,13 +122,13 @@ void EcaLocal::ApplyAndMaybeInstall() {
     pending_.erase(pending_.begin());
   }
   if (uqs_.empty() && pending_.empty()) {
-    mv_ = staged_;
+    ReplaceView(staged_);
   }
 }
 
 std::shared_ptr<const MaintainerSnapshot> EcaLocal::SnapshotState() const {
   auto snap = std::make_shared<Snapshot>();
-  snap->mv = mv_;
+  snap->mv = view_contents();
   snap->uqs = uqs_;
   snap->pending = pending_;
   snap->staged = staged_;
@@ -140,7 +140,7 @@ Status EcaLocal::RestoreState(const MaintainerSnapshot& snapshot) {
   if (snap == nullptr) {
     return Status::InvalidArgument("snapshot was not taken from ECA-Local");
   }
-  mv_ = snap->mv;
+  ReplaceView(snap->mv);
   uqs_ = snap->uqs;
   pending_ = snap->pending;
   staged_ = snap->staged;
@@ -152,7 +152,7 @@ void EcaLocal::LoseVolatileState() {
   // volatile. The staged view restarts from MV.
   uqs_.clear();
   pending_.clear();
-  staged_ = mv_;
+  staged_ = view_contents();
 }
 
 }  // namespace wvm

@@ -165,7 +165,7 @@ int64_t EcaSc::ReplicaTupleCount() const {
 
 std::shared_ptr<const MaintainerSnapshot> EcaSc::SnapshotState() const {
   auto snap = std::make_shared<ScSnapshot>();
-  snap->mv = mv_;
+  snap->mv = view_contents();
   snap->uqs = uqs_;
   snap->collect = collect_;
   snap->replicas = replicas_.Clone();

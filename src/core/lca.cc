@@ -51,12 +51,31 @@ Status Lca::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
   return Status::OK();
 }
 
+std::shared_ptr<const MaintainerSnapshot> Lca::SnapshotState() const {
+  auto snap = std::make_shared<Snapshot>();
+  snap->mv = view_contents();
+  snap->uqs = uqs_;
+  snap->pending = pending_;
+  return snap;
+}
+
+Status Lca::RestoreState(const MaintainerSnapshot& snapshot) {
+  const auto* snap = dynamic_cast<const Snapshot*>(&snapshot);
+  if (snap == nullptr) {
+    return Status::InvalidArgument("snapshot was not taken from LCA");
+  }
+  ReplaceView(snap->mv);
+  uqs_ = snap->uqs;
+  pending_ = snap->pending;
+  return Status::OK();
+}
+
 void Lca::ApplyCompletedPrefix(WarehouseContext* ctx) {
   // pending_ is ordered by update id; update ids are assigned in source
   // execution order and notifications are delivered in order, so map order
   // is the order the deltas must be applied in.
   while (!pending_.empty() && pending_.begin()->second.open_terms == 0) {
-    mv_.Add(pending_.begin()->second.delta);
+    InstallDelta(pending_.begin()->second.delta);
     pending_.erase(pending_.begin());
     if (ctx != nullptr) {
       // Expose each per-update state V[ss_i]: this is what makes LCA

@@ -46,10 +46,20 @@ class Lca : public ViewMaintainer {
     return uqs_.empty() && pending_.empty();
   }
 
+  std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
+  Status RestoreState(const MaintainerSnapshot& snapshot) override;
+
  private:
   struct PendingDelta {
     Relation delta;
     int open_terms = 0;
+  };
+
+  /// LCA's recoverable state: MV plus UQS and the per-update deltas still
+  /// being assembled.
+  struct Snapshot : MaintainerSnapshot {
+    std::map<uint64_t, Query> uqs;
+    std::map<uint64_t, PendingDelta> pending;
   };
 
   /// Applies, in update order, every leading delta whose terms have all

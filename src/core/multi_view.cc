@@ -59,7 +59,7 @@ Status MultiViewWarehouse::Initialize(const Catalog& initial_source_state) {
   for (std::unique_ptr<ViewMaintainer>& child : children_) {
     WVM_RETURN_IF_ERROR(child->Initialize(initial_source_state));
   }
-  mv_ = children_.front()->view_contents();
+  MirrorView(*children_.front());
   if (CompiledPlansEnabled()) {
     // Pre-warm the compiled delta plans of every distinct child view now,
     // instead of compiling on first touch in the maintenance hot loop. A
@@ -96,7 +96,7 @@ Status MultiViewWarehouse::Dispatch(
   RoutingContext routing(this, child_index, ctx);
   WVM_RETURN_IF_ERROR(body(children_[child_index].get(), &routing));
   if (child_index == 0) {
-    mv_ = children_.front()->view_contents();
+    MirrorView(*children_.front());
   }
   return Status::OK();
 }
@@ -245,7 +245,7 @@ bool MultiViewWarehouse::IsQuiescent() const {
 std::shared_ptr<const MaintainerSnapshot> MultiViewWarehouse::SnapshotState()
     const {
   auto snap = std::make_shared<Snapshot>();
-  snap->mv = mv_;
+  snap->mv = view_contents();
   for (const std::unique_ptr<ViewMaintainer>& child : children_) {
     snap->children.push_back(child->SnapshotState());
   }
@@ -269,7 +269,7 @@ Status MultiViewWarehouse::RestoreState(const MaintainerSnapshot& snapshot) {
   }
   pending_.clear();
   collecting_ = false;
-  mv_ = children_.front()->view_contents();
+  MirrorView(*children_.front());
   return Status::OK();
 }
 

@@ -66,6 +66,10 @@ class MultiViewWarehouse : public ViewMaintainer {
                  WarehouseContext* ctx) override;
   Status OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) override;
   bool IsQuiescent() const override;
+  void RecordViewDeltas() override {
+    ViewMaintainer::RecordViewDeltas();
+    children_.front()->RecordViewDeltas();
+  }
 
   std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
   Status RestoreState(const MaintainerSnapshot& snapshot) override;

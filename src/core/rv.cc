@@ -24,11 +24,31 @@ Status RecomputeView::OnUpdate(const Update& u, WarehouseContext* ctx) {
   return Status::OK();
 }
 
+std::shared_ptr<const MaintainerSnapshot> RecomputeView::SnapshotState()
+    const {
+  auto snap = std::make_shared<Snapshot>();
+  snap->mv = view_contents();
+  snap->count = count_;
+  snap->outstanding = outstanding_;
+  return snap;
+}
+
+Status RecomputeView::RestoreState(const MaintainerSnapshot& snapshot) {
+  const auto* snap = dynamic_cast<const Snapshot*>(&snapshot);
+  if (snap == nullptr) {
+    return Status::InvalidArgument("snapshot was not taken from RV");
+  }
+  ReplaceView(snap->mv);
+  count_ = snap->count;
+  outstanding_ = snap->outstanding;
+  return Status::OK();
+}
+
 Status RecomputeView::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
   (void)ctx;
   --outstanding_;
   // Replace, not merge: the answer is the whole view at some source state.
-  mv_ = a.Sum();
+  ReplaceView(a.Sum());
   return Status::OK();
 }
 

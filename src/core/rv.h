@@ -29,7 +29,16 @@ class RecomputeView : public ViewMaintainer {
 
   int period() const { return period_; }
 
+  std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
+  Status RestoreState(const MaintainerSnapshot& snapshot) override;
+
  private:
+  /// RV's recoverable state: MV plus its two counters.
+  struct Snapshot : MaintainerSnapshot {
+    int count = 0;
+    int outstanding = 0;
+  };
+
   int period_;
   int count_ = 0;        // updates seen since the last recomputation request
   int outstanding_ = 0;  // recomputation queries in flight

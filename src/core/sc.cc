@@ -22,7 +22,7 @@ Status StoreCopies::OnUpdate(const Update& u, WarehouseContext* ctx) {
   WVM_RETURN_IF_ERROR(copies_.Apply(u));
   std::optional<Term> term = ViewSubstituted(u);
   WVM_ASSIGN_OR_RETURN(Relation delta, EvaluateTerm(*term, copies_));
-  mv_.Add(delta);
+  InstallDelta(delta);
   return Status::OK();
 }
 
@@ -30,6 +30,23 @@ Status StoreCopies::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
   (void)a;
   (void)ctx;
   return Status::Internal("StoreCopies never issues queries");
+}
+
+std::shared_ptr<const MaintainerSnapshot> StoreCopies::SnapshotState() const {
+  auto snap = std::make_shared<Snapshot>();
+  snap->mv = view_contents();
+  snap->copies = copies_.Clone();
+  return snap;
+}
+
+Status StoreCopies::RestoreState(const MaintainerSnapshot& snapshot) {
+  const auto* snap = dynamic_cast<const Snapshot*>(&snapshot);
+  if (snap == nullptr) {
+    return Status::InvalidArgument("snapshot was not taken from SC");
+  }
+  ReplaceView(snap->mv);
+  copies_ = snap->copies.Clone();
+  return Status::OK();
 }
 
 int64_t StoreCopies::ReplicaTupleCount() const {

@@ -35,7 +35,15 @@ class StoreCopies : public ViewMaintainer {
   /// strategy pays (used by the comparison benchmarks).
   int64_t ReplicaTupleCount() const;
 
+  std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
+  Status RestoreState(const MaintainerSnapshot& snapshot) override;
+
  private:
+  /// SC's recoverable state: MV plus the base-relation replicas.
+  struct Snapshot : MaintainerSnapshot {
+    Catalog copies;
+  };
+
   Catalog copies_;
 };
 

@@ -523,7 +523,7 @@ Status SelfMaintainer::KeyDeleteLocally(const Update& u) {
   // UQS is empty, so COLLECT is empty and MV is current: the delta is minus
   // every view row carrying u's key values (key uniqueness + projected keys
   // mean exactly the rows derived from the deleted tuple).
-  for (const auto& [t, count] : mv_.entries()) {
+  for (const auto& [t, count] : view_contents().entries()) {
     bool match = true;
     for (const auto& [column, value] : constraints) {
       if (!(t.value(column) == value)) {
@@ -608,7 +608,7 @@ Status SelfMaintainer::OnUpdate(const Update& u, WarehouseContext* ctx) {
 std::shared_ptr<const MaintainerSnapshot> SelfMaintainer::SnapshotState()
     const {
   auto snap = std::make_shared<Snapshot>();
-  snap->mv = mv_;
+  snap->mv = view_contents();
   snap->uqs = uqs_;
   snap->collect = collect_;
   snap->aux = aux_;
@@ -627,7 +627,7 @@ Status SelfMaintainer::RestoreState(const MaintainerSnapshot& snapshot) {
     return Status::InvalidArgument(
         "snapshot was not taken from SelfMaintainer");
   }
-  mv_ = snap->mv;
+  ReplaceView(snap->mv);
   uqs_ = snap->uqs;
   collect_ = snap->collect;
   aux_ = snap->aux;

@@ -1,10 +1,52 @@
 #include "core/warehouse.h"
 
+#include <utility>
+
 namespace wvm {
 
 Status ViewMaintainer::Initialize(const Catalog& initial_source_state) {
-  WVM_ASSIGN_OR_RETURN(mv_, EvaluateView(view_, initial_source_state));
+  WVM_ASSIGN_OR_RETURN(Relation view, EvaluateView(view_, initial_source_state));
+  ReplaceView(std::move(view));
   return Status::OK();
+}
+
+namespace {
+
+// *into += delta, sharing delta's storage when nothing is pending yet.
+void Accumulate(Relation* into, const Relation& delta) {
+  if (into->IsEmpty()) {
+    *into = delta;
+  } else {
+    into->Add(delta);
+  }
+}
+
+}  // namespace
+
+Relation ViewMaintainer::TakeViewDelta() {
+  return std::exchange(unrecorded_, Relation());
+}
+
+void ViewMaintainer::InstallDelta(const Relation& delta) {
+  mv_.Add(delta);
+  if (record_deltas_) {
+    Accumulate(&unrecorded_, delta);
+  }
+}
+
+void ViewMaintainer::ReplaceView(Relation view) {
+  if (record_deltas_) {
+    Accumulate(&unrecorded_, view - mv_);
+  }
+  mv_ = std::move(view);
+}
+
+void ViewMaintainer::MirrorView(ViewMaintainer& child) {
+  if (record_deltas_) {
+    InstallDelta(child.TakeViewDelta());
+  } else {
+    ReplaceView(child.view_contents());
+  }
 }
 
 Status ViewMaintainer::OnBatch(const std::vector<Update>& batch,

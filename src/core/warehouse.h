@@ -82,6 +82,18 @@ class ViewMaintainer {
   const Relation& view_contents() const { return mv_; }
   const ViewDefinitionPtr& view_def() const { return view_; }
 
+  /// Starts keeping the net change to MV since the last TakeViewDelta(),
+  /// for the consistency oracle's state log. Off by default, and then no
+  /// delta is formed; the simulation turns it on before Initialize when it
+  /// records states. Wrappers forward it to the child whose view they
+  /// expose.
+  virtual void RecordViewDeltas() { record_deltas_ = true; }
+
+  /// The net change to MV since the previous call (since the empty view,
+  /// for the first), leaving none pending. Empty unless RecordViewDeltas()
+  /// was called.
+  Relation TakeViewDelta();
+
   /// True when the maintainer has no outstanding bookkeeping (empty UQS,
   /// no buffered deltas). Used by tests to assert clean quiescence.
   virtual bool IsQuiescent() const { return true; }
@@ -97,7 +109,7 @@ class ViewMaintainer {
 
   /// Restores state captured by SnapshotState() (same dynamic type).
   virtual Status RestoreState(const MaintainerSnapshot& snapshot) {
-    mv_ = snapshot.mv;
+    ReplaceView(snapshot.mv);
     return Status::OK();
   }
 
@@ -112,8 +124,24 @@ class ViewMaintainer {
   /// the update does not involve any view relation.
   std::optional<Term> ViewSubstituted(const Update& u) const;
 
+  /// The only two ways MV changes. InstallDelta adds a signed delta in
+  /// O(|delta|). ReplaceView swaps in a whole view (recomputation, a
+  /// working-copy install, a checkpoint restore); while deltas are recorded
+  /// it diffs the new view against the old one, in O(|V|).
+  void InstallDelta(const Relation& delta);
+  void ReplaceView(Relation view);
+
+  /// For wrappers exposing a child's view as their own: brings MV level
+  /// with the child's. While deltas are recorded the child's delta is
+  /// installed (no diff); otherwise MV shares the child's storage.
+  void MirrorView(ViewMaintainer& child);
+
   ViewDefinitionPtr view_;
+
+ private:
   Relation mv_;
+  bool record_deltas_ = false;
+  Relation unrecorded_;  // net change to mv_ since the last TakeViewDelta
 };
 
 /// The warehouse site: receives the single in-order stream of source

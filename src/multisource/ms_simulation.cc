@@ -190,8 +190,9 @@ Result<std::unique_ptr<MsSimulation>> MsSimulation::Create(
 
   WVM_RETURN_IF_ERROR(sim->maintainer_->Initialize(sim->merged_));
   WVM_ASSIGN_OR_RETURN(Relation v0, sim->GlobalViewNow());
-  sim->state_log_.RecordSourceState(std::move(v0));
-  sim->state_log_.RecordWarehouseState(sim->maintainer_->view_contents());
+  sim->state_log_.RecordSourceState(v0, sim->event_seq_);
+  sim->state_log_.RecordWarehouseState(sim->maintainer_->view_contents(),
+                                       sim->event_seq_);
   return sim;
 }
 
@@ -281,13 +282,14 @@ Status MsSimulation::StepSourceUpdate(size_t s) {
         source_up_[s] != 0 ? "no scripted updates at this source"
                            : "source is down");
   }
+  ++event_seq_;
   Update u = scripts_[s][cursors_[s]++];
   u.id = next_update_id_++;
   WVM_RETURN_IF_ERROR(sources_[s].Apply(u));
   WVM_RETURN_IF_ERROR(merged_.Apply(u));
   to_warehouse_[s]->Send(UpdateNotification{std::move(u)});
   WVM_ASSIGN_OR_RETURN(Relation v, GlobalViewNow());
-  state_log_.RecordSourceState(std::move(v));
+  state_log_.RecordSourceState(v, event_seq_);
   return Status::OK();
 }
 
@@ -297,6 +299,7 @@ Status MsSimulation::StepSourceAnswer(size_t s) {
         source_up_[s] != 0 ? "no pending fragment requests"
                            : "source is down");
   }
+  ++event_seq_;
   FragmentRequest request = to_source_[s]->Receive();
   FragmentAnswer answer;
   answer.query_id = request.query_id;
@@ -317,6 +320,7 @@ Status MsSimulation::StepWarehouse(size_t s) {
     return Status::FailedPrecondition(
         warehouse_up_ ? "no messages from this source" : "warehouse is down");
   }
+  ++event_seq_;
   MsSourceMessage m = to_warehouse_[s]->Receive();
   if (options_.recovery.enabled) {
     // Log the consumption order BEFORE applying: replay needs the
@@ -332,7 +336,7 @@ Status MsSimulation::StepWarehouse(size_t s) {
     WVM_RETURN_IF_ERROR(maintainer_->OnFragments(
         s, std::get<FragmentAnswer>(m), context_.get()));
   }
-  state_log_.RecordWarehouseState(maintainer_->view_contents());
+  state_log_.RecordWarehouseState(maintainer_->view_contents(), event_seq_);
   return Status::OK();
 }
 
@@ -340,6 +344,7 @@ Status MsSimulation::StepTransportTick() {
   if (!CanTransportTick()) {
     return Status::FailedPrecondition("no transport work pending");
   }
+  ++event_seq_;
   for (size_t s = 0; s < sources_.size(); ++s) {
     to_warehouse_[s]->Tick();
     to_source_[s]->Tick();
@@ -373,6 +378,7 @@ Status MsSimulation::CrashWarehouse() {
   if (!warehouse_up_) {
     return Status::FailedPrecondition("warehouse is already down");
   }
+  ++event_seq_;
   warehouse_up_ = false;
   // The warehouse receives every source's messages and sends every
   // fragment request: all those endpoint halves lose their volatile
@@ -389,6 +395,7 @@ Status MsSimulation::RestartWarehouse() {
   if (warehouse_up_) {
     return Status::FailedPrecondition("warehouse is not down");
   }
+  ++event_seq_;
   // Genesis replay: re-initialize the maintainer from checkpoint zero,
   // rewind the query-id counter, and re-consume every journaled message in
   // the original cross-source order. Per-source FIFO makes each inbound
@@ -454,6 +461,7 @@ Status MsSimulation::CrashSource(size_t s) {
   if (source_up_[s] == 0) {
     return Status::FailedPrecondition("source is already down");
   }
+  ++event_seq_;
   source_up_[s] = 0;
   // The source's base data lives on disk (the catalog survives); what dies
   // are the fragment requests delivered but not yet answered and the
@@ -471,6 +479,7 @@ Status MsSimulation::RestartSource(size_t s) {
   if (source_up_[s] != 0) {
     return Status::FailedPrecondition("source is not down");
   }
+  ++event_seq_;
   std::deque<FragmentRequest> tail;
   WVM_RETURN_IF_ERROR(src_in_[s].Scan(
       src_consumed_[s], src_in_[s].end_lsn(),

@@ -199,6 +199,7 @@ class MsSimulation {
   std::vector<std::vector<Update>> scripts_;
   std::vector<size_t> cursors_;
   StateLog state_log_;
+  uint64_t event_seq_ = 0;  // logical clock across all sites, stamps states
   uint64_t next_update_id_ = 1;
   int64_t fragment_requests_ = 0;
   int64_t fragment_tuples_ = 0;

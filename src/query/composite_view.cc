@@ -61,6 +61,21 @@ Result<Relation> CompositeView::Evaluate(const Catalog& catalog) const {
   return out;
 }
 
+Result<Relation> CompositeView::Delta(const Update& u,
+                                      const Catalog& catalog) const {
+  Relation out(output_schema_);
+  for (const CompositeBranch& b : branches_) {
+    std::optional<Term> term = Term::FromView(b.view).Substitute(u);
+    if (!term.has_value()) {
+      continue;
+    }
+    term->set_coefficient(b.sign);
+    WVM_ASSIGN_OR_RETURN(Relation part, EvaluateTerm(*term, catalog));
+    out.Add(part);
+  }
+  return out;
+}
+
 std::string CompositeView::ToString() const {
   std::string out = StrCat(name_, " =");
   for (size_t i = 0; i < branches_.size(); ++i) {

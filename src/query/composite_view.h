@@ -53,6 +53,13 @@ class CompositeView {
   /// Evaluates the signed sum of branches over `catalog`.
   Result<Relation> Evaluate(const Catalog& catalog) const;
 
+  /// V<u>: the change update `u` makes to the view, the signed sum of the
+  /// branches' substitutions evaluated over `catalog` (a branch that does
+  /// not mention u's relation drops out). A branch mentions each relation
+  /// at most once, so its substituted term never reads u's relation and
+  /// the result is the same whether or not `catalog` already reflects u.
+  Result<Relation> Delta(const Update& u, const Catalog& catalog) const;
+
   std::string ToString() const;
 
  private:

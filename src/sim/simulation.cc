@@ -8,7 +8,6 @@
 
 #include "common/strings.h"
 #include "query/compiled_plan.h"
-#include "query/evaluator.h"
 
 namespace wvm {
 
@@ -48,6 +47,12 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
   // evaluation the ctor itself performs (initial view materialization).
   SetCompiledPlansEnabled(options.engine.compiled_plans);
   auto sim = std::unique_ptr<Simulation>(new Simulation(view, options));
+  if (options.composite_view != nullptr) {
+    sim->source_view_ = options.composite_view;
+  } else {
+    WVM_ASSIGN_OR_RETURN(sim->source_view_,
+                         CompositeView::Create(view->name(), {{view, +1}}));
+  }
   {
     // Install the transport mode on both directions before any traffic.
     // Disabled faults leave the channels as plain FIFO passthroughs, so
@@ -120,9 +125,11 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
   sim->warehouse_ = std::make_unique<Warehouse>(
       std::move(maintainer), &sim->to_source_, &sim->meter_);
   if (options.instrument.record_states) {
-    // Snapshot intermediate view states (e.g. LCA applying several deltas
-    // within one event); consecutive duplicates are deduplicated by the
-    // checker.
+    // The maintainer keeps its net change to MV from here on, so ws_0 is
+    // the change from the empty view. Intermediate view states (e.g. LCA
+    // applying several deltas within one event) are recorded too;
+    // consecutive duplicates are deduplicated by the checker.
+    sim->warehouse_->maintainer().RecordViewDeltas();
     Simulation* raw = sim.get();
     sim->warehouse_->SetViewObserver([raw] { raw->RecordWarehouseState(); });
   }
@@ -130,7 +137,8 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
 
   if (options.instrument.record_states) {
     // ss_0 and ws_0: the paper assumes V[ws_0] = V[ss_0].
-    WVM_RETURN_IF_ERROR(sim->RecordSourceState());
+    WVM_ASSIGN_OR_RETURN(Relation v0, sim->SourceViewNow());
+    sim->state_log_.RecordSourceState(v0, sim->event_seq_);
     sim->RecordWarehouseState();
   }
   if (options.recovery.enabled) {
@@ -260,19 +268,27 @@ bool Simulation::Quiescent() const {
          !CanSourceAnswer() && !CanWarehouseStep() && !CanTransportTick();
 }
 
-Status Simulation::RecordSourceState() {
+Status Simulation::RecordSourceState(Relation delta) {
+  if (cursor_ < script_.size()) {
+    state_log_.RecordSourceDelta(std::move(delta), event_seq_);
+    return Status::OK();
+  }
+  // The last scripted update: record its state evaluated from scratch, and
+  // have the log check the running sum of deltas against it.
   WVM_ASSIGN_OR_RETURN(Relation v, SourceViewNow());
-  state_log_.RecordSourceState(std::move(v), event_seq_);
+  state_log_.RecordCheckedSourceState(delta, v, event_seq_);
   return Status::OK();
 }
 
 void Simulation::RecordWarehouseState() {
   if (replaying_) {
     // Journal replay reconstructs states the log already recorded before
-    // the crash; recording them again would fabricate history.
+    // the crash; recording them again would fabricate history. The
+    // maintainer keeps accumulating its change, so the next record is the
+    // net change since the last one.
     return;
   }
-  state_log_.RecordWarehouseState(warehouse_->maintainer().view_contents(),
+  state_log_.RecordWarehouseDelta(warehouse_->maintainer().TakeViewDelta(),
                                   event_seq_);
 }
 
@@ -285,9 +301,18 @@ Status Simulation::StepSourceUpdate() {
   // Execute the next batch (usually of size 1) as one atomic source event,
   // then ship one notification.
   std::vector<Update> batch = script_[cursor_++];
+  const bool record = options_.instrument.record_states;
+  Relation delta;  // V<u> summed over the batch
   for (Update& u : batch) {
     u.id = next_update_id_++;
     WVM_RETURN_IF_ERROR(source_->ExecuteUpdate(u));
+    if (record) {
+      // Right after u, before the rest of the batch: the other relations
+      // are exactly as u saw them.
+      WVM_ASSIGN_OR_RETURN(Relation part,
+                           source_view_->Delta(u, source_->catalog()));
+      delta.Add(part);
+    }
   }
   if (options_.instrument.record_trace) {
     std::vector<std::string> parts;
@@ -304,8 +329,8 @@ Status Simulation::StepSourceUpdate() {
   } else {
     to_warehouse_.Send(BatchNotification{std::move(batch)});
   }
-  if (options_.instrument.record_states) {
-    WVM_RETURN_IF_ERROR(RecordSourceState());
+  if (record) {
+    WVM_RETURN_IF_ERROR(RecordSourceState(std::move(delta)));
   }
   return NoteSourceConsumed(0);
 }
@@ -687,10 +712,7 @@ Status Simulation::Step(SimAction action) {
 }
 
 Result<Relation> Simulation::SourceViewNow() const {
-  if (options_.view_evaluator) {
-    return options_.view_evaluator(source_->catalog());
-  }
-  return EvaluateView(view_, source_->catalog());
+  return source_view_->Evaluate(source_->catalog());
 }
 
 }  // namespace wvm

@@ -14,6 +14,7 @@
 #include "core/warehouse.h"
 #include "recovery/site_log.h"
 #include "query/catalog.h"
+#include "query/composite_view.h"
 #include "query/view_def.h"
 #include "sim/trace.h"
 #include "source/source.h"
@@ -86,7 +87,13 @@ struct SourceEngineOptions {
 /// (the consistency checker needs them), the readable trace defaults off
 /// (examples turn it on, benchmarks leave it off).
 struct InstrumentationOptions {
-  /// Record V[ss_i] / V[ws_j] sequences for the consistency checker.
+  /// Record the V[ss_i] / V[ws_j] sequences for the consistency checker, as
+  /// exact deltas: each source update adds V<u>, evaluated over the
+  /// source's logical catalog (no page reads are metered), and each
+  /// warehouse event adds the maintainer's net change to MV. The source
+  /// state after the last scripted update is evaluated from scratch and the
+  /// running sum checked against it. Recording costs O(|delta|) per event;
+  /// off, no delta is formed or kept.
   bool record_states = true;
   /// Record a readable per-event trace (examples; off for benchmarks).
   bool record_trace = false;
@@ -109,11 +116,12 @@ struct SimulationOptions {
   /// Updates per notification; > 1 enables the Section 7 batching
   /// extension (one atomic source event and one notification per batch).
   int batch_size = 1;
-  /// How to evaluate the view over a source catalog when recording
-  /// V[ss_i] states and answering SourceViewNow(). Defaults to evaluating
-  /// the single ViewDefinition; composite (union/difference) views install
-  /// their own evaluator here.
-  std::function<Result<Relation>(const Catalog&)> view_evaluator;
+  /// The view the source-side states are of, when it is a composite
+  /// (union/difference) view maintained by CompositeEca: V[ss_i] and
+  /// SourceViewNow() evaluate it, and each update's V<u> is the signed sum
+  /// of its branches' substitutions. Null: the ViewDefinition passed to
+  /// Create.
+  CompositeViewPtr composite_view;
   /// Transport fault schedule for both directions (source->warehouse and
   /// warehouse->source). Off by default: the channels stay plain FIFO and
   /// every run is byte-identical to the pre-transport system.
@@ -257,7 +265,10 @@ class Simulation {
         options_(options),
         meter_(options.bytes_per_tuple) {}
 
-  Status RecordSourceState();
+  /// Records the source state an update event produced from its view
+  /// delta; after the last scripted update, from scratch instead (checked
+  /// against the running sum).
+  Status RecordSourceState(Relation delta);
   void RecordWarehouseState();
 
   /// kFile backend: resolves the segment directory (temp when unset) and
@@ -275,6 +286,7 @@ class Simulation {
   Status NoteSourceConsumed(uint64_t frames);
 
   ViewDefinitionPtr view_;
+  CompositeViewPtr source_view_;  // what V[ss_i] is of: options or {+view_}
   SimulationOptions options_;
   CostMeter meter_;
   std::unique_ptr<Source> source_;

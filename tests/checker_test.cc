@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "consistency_reference.h"
+
 namespace wvm {
 namespace {
 
@@ -15,10 +17,17 @@ Relation Rel(std::initializer_list<int64_t> values) {
   return r;
 }
 
-StateLog Log(std::vector<Relation> source, std::vector<Relation> warehouse) {
+// A log built through the full-state entry point; the i-th state of each
+// side is stamped with clock i (the checker does not read clocks).
+StateLog Log(const std::vector<Relation>& source,
+             const std::vector<Relation>& warehouse) {
   StateLog log;
-  log.source_view_states = std::move(source);
-  log.warehouse_view_states = std::move(warehouse);
+  for (size_t i = 0; i < source.size(); ++i) {
+    log.RecordSourceState(source[i], i);
+  }
+  for (size_t i = 0; i < warehouse.size(); ++i) {
+    log.RecordWarehouseState(warehouse[i], i);
+  }
   return log;
 }
 
@@ -103,7 +112,7 @@ TEST(CheckerTest, EmptyExecutionReported) {
 TEST(CheckerTest, DedupHelper) {
   std::vector<Relation> states = {Rel({}), Rel({}), Rel({1}), Rel({1}),
                                   Rel({})};
-  std::vector<Relation> deduped = StateLog::Dedup(states);
+  std::vector<Relation> deduped = reference::Dedup(states);
   ASSERT_EQ(deduped.size(), 3u);
   EXPECT_EQ(deduped[0], Rel({}));
   EXPECT_EQ(deduped[1], Rel({1}));

@@ -283,11 +283,11 @@ TEST(CompiledPlanTest, SimulationCountersIdenticalOnAndOff) {
         << ex.name;
     EXPECT_EQ(on->io_stats().terms_evaluated, off->io_stats().terms_evaluated)
         << ex.name;
-    EXPECT_EQ(on->state_log().warehouse_view_states,
-              off->state_log().warehouse_view_states)
+    EXPECT_EQ(on->state_log().warehouse_view_states.MaterializeAll(),
+              off->state_log().warehouse_view_states.MaterializeAll())
         << ex.name;
-    EXPECT_EQ(on->state_log().source_view_states,
-              off->state_log().source_view_states)
+    EXPECT_EQ(on->state_log().source_view_states.MaterializeAll(),
+              off->state_log().source_view_states.MaterializeAll())
         << ex.name;
   }
 }

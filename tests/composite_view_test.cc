@@ -120,9 +120,7 @@ TEST(CompositeViewTest, ToStringShowsSigns) {
 std::unique_ptr<Simulation> MakeCompositeSim(const CompositeFixture& f,
                                              CompositeViewPtr composite) {
   SimulationOptions options;
-  options.view_evaluator = [composite](const Catalog& catalog) {
-    return composite->Evaluate(catalog);
-  };
+  options.composite_view = composite;
   auto maintainer = std::make_unique<CompositeEca>(composite);
   Result<std::unique_ptr<Simulation>> sim = Simulation::Create(
       f.initial, composite->branches().front().view, std::move(maintainer),

@@ -3,7 +3,10 @@
 // streams and check the Section 3.1 levels. ECA and its variants must be
 // strongly consistent on EVERY interleaving (Theorem B.1, Appendix C);
 // LCA and SC must additionally be complete; the basic algorithm must be
-// caught violating weak consistency on at least one interleaving.
+// caught violating weak consistency on at least one interleaving. Every
+// schedule is also judged by the full-state reference checker
+// (CheckedConsistency), which must agree with the delta oracle on every
+// flag, the violation text and every staleness lag.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -250,7 +253,7 @@ TEST_P(MultiViewMatrix, SharedMaintenanceMatchesIndependentChildren) {
       RandomPolicy policy(seed * 31 + faulty);
       ASSERT_TRUE(RunToQuiescence(sim->get(), &policy).ok());
       ASSERT_TRUE(multi->IsQuiescent());
-      ConsistencyReport report = CheckConsistency((*sim)->state_log());
+      ConsistencyReport report = CheckedConsistency((*sim)->state_log());
       EXPECT_TRUE(report.strongly_consistent)
           << "dedup=" << dedup << " faulty=" << faulty << ": "
           << report.ToString();
@@ -342,7 +345,7 @@ TEST(MatrixSummaryTest, EcaIsNotCompleteInGeneral) {
     sim->SetUpdateScript(s.updates);
     WorstCasePolicy policy;
     ASSERT_TRUE(RunToQuiescence(sim.get(), &policy).ok());
-    ConsistencyReport r = CheckConsistency(sim->state_log());
+    ConsistencyReport r = CheckedConsistency(sim->state_log());
     EXPECT_TRUE(r.strongly_consistent) << r.ToString();
     if (!r.complete) {
       ++incomplete;

@@ -14,6 +14,9 @@
 //      reliable transport is rejected, and — journal off by default — a
 //      crash-free recovery-enabled run leaves every observable counter
 //      byte-identical to a recovery-disabled run.
+//
+// Every crash schedule is also judged by the full-state reference checker
+// (CheckedConsistency), which must agree with the delta oracle exactly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -127,7 +130,7 @@ CrashRunResult RunWithCrashAt(Simulation* sim, uint64_t seed, CrashSite site,
     ++actions;
   }
   result.run = Status::OK();
-  result.report = CheckConsistency(sim->state_log());
+  result.report = CheckedConsistency(sim->state_log());
   Result<Relation> source_view = sim->SourceViewNow();
   EXPECT_TRUE(source_view.ok()) << source_view.status();
   result.converged =

@@ -2,6 +2,7 @@
 // fast paths + compensation).
 #include <gtest/gtest.h>
 
+#include "consistency_reference.h"
 #include "core/eca_local.h"
 #include "core/lca.h"
 #include "test_util.h"
@@ -47,9 +48,9 @@ TEST(LcaTest, PerUpdateDeltasMatchSourceTransitions) {
   WorstCasePolicy policy;  // adversarial: all compensation kicks in
   ASSERT_TRUE(RunToQuiescence(sim.get(), &policy).ok());
   const std::vector<Relation> src =
-      StateLog::Dedup(sim->state_log().source_view_states);
-  const std::vector<Relation> wh =
-      StateLog::Dedup(sim->state_log().warehouse_view_states);
+      reference::Dedup(sim->state_log().source_view_states.MaterializeAll());
+  const std::vector<Relation> wh = reference::Dedup(
+      sim->state_log().warehouse_view_states.MaterializeAll());
   ASSERT_EQ(src.size(), wh.size());
   for (size_t i = 0; i < src.size(); ++i) {
     EXPECT_EQ(src[i], wh[i]) << "state " << i;

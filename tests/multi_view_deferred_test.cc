@@ -383,7 +383,8 @@ TEST(ModificationTest, AtomicModifyBatchKeepsViewConsistent) {
   EXPECT_TRUE(report.strongly_consistent) << report.ToString();
   // Atomicity: no recorded source state shows the half-modified relation
   // (the state after only the delete).
-  for (const Relation& s : sim->state_log().source_view_states) {
+  for (const Relation& s :
+       sim->state_log().source_view_states.MaterializeAll()) {
     (void)s;  // states exist per batch, not per half-update
   }
   EXPECT_EQ(sim->state_log().source_view_states.size(), 3u);  // ss0 + 2

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "consistency/checker.h"
+#include "consistency/staleness.h"
 #include "multisource/ms_eca.h"
 #include "multisource/ms_eca_snapshot.h"
 #include "multisource/ms_sc.h"
@@ -342,6 +343,27 @@ TEST(MsEcaTest, BestCaseMatchesGlobalSequence) {
   ASSERT_TRUE(sim->RunBestCase().ok());
   ConsistencyReport report = CheckConsistency(sim->state_log());
   EXPECT_TRUE(report.strongly_consistent) << report.ToString();
+}
+
+TEST(MsSimulationTest, StalenessCountsEventsOnOneClock) {
+  // Every state is stamped from the simulation's event counter, so an
+  // update at source A becomes visible only after the fragment round trip
+  // through source B: S_up (clock 1), W_up sends the request (2), B
+  // answers (3), W_ans installs (4) — three events of lag.
+  TwoSourceFixture f = TwoSourceFixture::Make();
+  std::unique_ptr<MsSimulation> sim = MakeSim<MsEca>(f);
+  ASSERT_TRUE(sim->SetUpdateScript(
+                     0, {Update::Insert("r1", Tuple::Ints({4, 2}))})
+                  .ok());
+  ASSERT_TRUE(sim->StepSourceUpdate(0).ok());
+  ASSERT_TRUE(sim->StepWarehouse(0).ok());
+  ASSERT_TRUE(sim->StepSourceAnswer(1).ok());
+  ASSERT_TRUE(sim->StepWarehouse(1).ok());
+  ASSERT_TRUE(sim->Quiescent());
+  const StalenessReport r = MeasureStaleness(sim->state_log());
+  EXPECT_EQ(r.lags, (std::vector<int64_t>{0, 3}));
+  EXPECT_EQ(r.max_lag, 3);
+  EXPECT_DOUBLE_EQ(r.coverage, 1.0);
 }
 
 TEST(MsEcaTest, FragmentTrafficIsMetered) {

@@ -3,6 +3,7 @@
 // algorithm and the corrected results under ECA / ECA-Key.
 #include <gtest/gtest.h>
 
+#include "consistency_reference.h"
 #include "test_util.h"
 
 namespace wvm {
@@ -37,7 +38,8 @@ TEST(PaperExamplesTest, Example2IntermediateStatesMatchPaper) {
   // Step 6 of the paper: after A1 the view is ([1],[4]); after A2 it is
   // ([1],[4],[4]).
   const std::vector<Relation> states =
-      StateLog::Dedup(sim->state_log().warehouse_view_states);
+      reference::Dedup(
+          sim->state_log().warehouse_view_states.MaterializeAll());
   ASSERT_EQ(states.size(), 3u);  // empty -> ([1],[4]) -> ([1],[4],[4])
   EXPECT_TRUE(states[0].IsEmpty());
   EXPECT_EQ(states[1], Relation::FromTuples(ex->view->output_schema(),
@@ -90,7 +92,8 @@ TEST(PaperExamplesTest, Example4ViewOnlyMovesOnceUqsDrains) {
   ASSERT_TRUE(ex.ok());
   std::unique_ptr<Simulation> sim = RunPaperExample(*ex);
   const std::vector<Relation> states =
-      StateLog::Dedup(sim->state_log().warehouse_view_states);
+      reference::Dedup(
+          sim->state_log().warehouse_view_states.MaterializeAll());
   ASSERT_EQ(states.size(), 2u);
   EXPECT_TRUE(states[0].IsEmpty());
   EXPECT_EQ(states[1], ex->expected_correct_final);

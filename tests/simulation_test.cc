@@ -24,8 +24,8 @@ TEST(SimulationTest, InitialStatesRecorded) {
   ASSERT_EQ(sim->state_log().source_view_states.size(), 1u);
   ASSERT_EQ(sim->state_log().warehouse_view_states.size(), 1u);
   // V[ws_0] = V[ss_0].
-  EXPECT_EQ(sim->state_log().source_view_states[0],
-            sim->state_log().warehouse_view_states[0]);
+  EXPECT_EQ(sim->state_log().source_view_states.Materialize(0),
+            sim->state_log().warehouse_view_states.Materialize(0));
 }
 
 TEST(SimulationTest, EnabledActionsEvolveCorrectly) {

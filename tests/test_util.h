@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "consistency/checker.h"
+#include "consistency_reference.h"
 #include "core/factory.h"
 #include "sim/policies.h"
 #include "sim/simulation.h"
@@ -60,7 +61,8 @@ inline std::unique_ptr<Simulation> RunPaperExample(const PaperExample& ex) {
 }
 
 // Runs `algorithm` over the example's setup with a seeded random
-// interleaving and reports the observed consistency levels.
+// interleaving and reports the observed consistency levels (checked
+// against the full-state reference).
 inline ConsistencyReport RunRandomized(const Catalog& initial,
                                        ViewDefinitionPtr view,
                                        Algorithm algorithm,
@@ -75,7 +77,7 @@ inline ConsistencyReport RunRandomized(const Catalog& initial,
   RandomPolicy policy(seed);
   Status run = RunToQuiescence(sim.get(), &policy);
   EXPECT_TRUE(run.ok()) << run;
-  return CheckConsistency(sim->state_log());
+  return CheckedConsistency(sim->state_log());
 }
 
 }  // namespace wvm

@@ -4,10 +4,15 @@
 // operation at realistic sizes).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <vector>
+
 #include "common/random.h"
 #include "query/compiled_plan.h"
 #include "query/evaluator.h"
 #include "relational/algebra.h"
+#include "storage/stored_relation.h"
 #include "workload/generator.h"
 
 namespace wvm::bench {
@@ -155,6 +160,78 @@ void BM_CompiledPlanCompile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompiledPlanCompile);
+
+// The source's stored relations at Example 6's r2 layout: clustered on X,
+// a non-clustered index on Y, K = 20 tuples per block, 4 rows per key on
+// both attributes, Y scattered across the file. The three benchmarks below
+// time one access each — a probe through either index, a delete, an
+// insert — against n rows, so their growth in n is the access path's.
+StoredRelation LoadedR2(int64_t n, Random* rng) {
+  StoredRelation sr({"r2", Schema::Ints({"X", "Y"})}, 20);
+  if (!sr.AddIndex("X", /*clustered=*/true).ok() ||
+      !sr.AddIndex("Y", /*clustered=*/false).ok()) {
+    std::abort();
+  }
+  const int64_t keys = n / 4;
+  std::vector<Tuple> rows;
+  rows.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    rows.push_back(Tuple::Ints({i % keys, rng->UniformRange(0, keys - 1)}));
+  }
+  if (!sr.BulkLoad(std::move(rows)).ok()) {
+    std::abort();
+  }
+  return sr;
+}
+
+// One clustered probe of X and one non-clustered probe of Y per iteration.
+void BM_StoredIndexProbe(benchmark::State& state) {
+  Random rng(7);
+  const StoredRelation sr = LoadedR2(state.range(0), &rng);
+  const int64_t keys = state.range(0) / 4;
+  IOStats io;
+  for (auto _ : state) {
+    Result<std::vector<Tuple>> x =
+        sr.IndexProbe("X", Value(rng.UniformRange(0, keys - 1)), &io);
+    Result<std::vector<Tuple>> y =
+        sr.IndexProbe("Y", Value(rng.UniformRange(0, keys - 1)), &io);
+    benchmark::DoNotOptimize(x);
+    benchmark::DoNotOptimize(y);
+  }
+}
+BENCHMARK(BM_StoredIndexProbe)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// Times `op` on a random row of the file; `undo` restores n rows untimed.
+template <typename Op, typename Undo>
+void TimeRowChange(benchmark::State& state, Op op, Undo undo) {
+  Random rng(8);
+  StoredRelation sr = LoadedR2(state.range(0), &rng);
+  for (auto _ : state) {
+    const Tuple row = sr.rows()[rng.Uniform(sr.NumRows())];
+    const auto start = std::chrono::steady_clock::now();
+    const Status s = op(sr, row);
+    const auto stop = std::chrono::steady_clock::now();
+    if (!s.ok() || !undo(sr, row).ok()) {
+      state.SkipWithError("row change failed");
+      return;
+    }
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+  }
+}
+
+void BM_StoredDelete(benchmark::State& state) {
+  TimeRowChange(
+      state, [](StoredRelation& sr, const Tuple& t) { return sr.Delete(t); },
+      [](StoredRelation& sr, const Tuple& t) { return sr.Insert(t); });
+}
+BENCHMARK(BM_StoredDelete)->Arg(1000)->Arg(10000)->Arg(100000)->UseManualTime();
+
+void BM_StoredInsert(benchmark::State& state) {
+  TimeRowChange(
+      state, [](StoredRelation& sr, const Tuple& t) { return sr.Insert(t); },
+      [](StoredRelation& sr, const Tuple& t) { return sr.Delete(t); });
+}
+BENCHMARK(BM_StoredInsert)->Arg(1000)->Arg(10000)->Arg(100000)->UseManualTime();
 
 }  // namespace
 }  // namespace wvm::bench

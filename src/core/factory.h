@@ -41,7 +41,7 @@ struct MaintainerSpec {
   /// RV's recomputation period s (ignored by the others).
   int rv_period = 1;
   /// kSelfMaintain's decision-procedure knobs (ignored by the others).
-  SelfMaintainOptions self_maintain;
+  SelfMaintainOptions self_maintain{};
 };
 
 Result<std::unique_ptr<ViewMaintainer>> MakeMaintainer(

@@ -8,7 +8,11 @@
 namespace wvm {
 
 std::string SignedTuple::ToString() const {
-  return (sign < 0 ? "-" : "") + tuple.ToString();
+  std::string out = tuple.ToString();
+  if (sign < 0) {
+    out.insert(out.begin(), '-');
+  }
+  return out;
 }
 
 const Relation::CountsMap& Relation::EmptyCounts() {

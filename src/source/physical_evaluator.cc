@@ -222,7 +222,8 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
     constexpr double kInf = std::numeric_limits<double>::infinity();
     double best_cost = kInf;
     size_t best_p = 0;
-    std::optional<JoinLink> best_probe;  // nullopt = full scan
+    bool best_is_probe = false;  // else a full scan
+    JoinLink best_link;
     std::string best_attr;
 
     for (size_t p = 0; p < n; ++p) {
@@ -236,7 +237,7 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
       if (scan_cost < best_cost) {
         best_cost = scan_cost;
         best_p = p;
-        best_probe = std::nullopt;
+        best_is_probe = false;
       }
       // Index probes along available links.
       for (const JoinLink& link : LinksTo(view, frontier, p)) {
@@ -256,7 +257,8 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
         if (cost < best_cost) {
           best_cost = cost;
           best_p = p;
-          best_probe = link;
+          best_is_probe = true;
+          best_link = link;
           best_attr = attr;
         }
       }
@@ -268,7 +270,7 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
     const size_t arity = view.relations()[best_p].schema.size();
     std::vector<JoinLink> all_links = LinksTo(view, frontier, best_p);
 
-    if (best_probe.has_value()) {
+    if (best_is_probe) {
       io->LogPlan(StrCat("probe ", view.relations()[best_p].name, ".",
                          best_attr,
                          sr->FindIndex(best_attr)->clustered
@@ -281,7 +283,7 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
       // generically distinct values charge one probe each (IO1 = 1 + J for
       // Q1). No caching across expansion steps or terms.
       std::unordered_map<Tuple, std::vector<Tuple>, TupleHash, TupleEq> probed;
-      const std::vector<size_t> probe_col = {best_probe->frontier_col};
+      const std::vector<size_t> probe_col = {best_link.frontier_col};
       std::vector<std::pair<Tuple, int64_t>> out_rows;
       for (const auto& [row, count] : frontier.rows) {
         auto it = probed.find(TupleKeyView(row, probe_col));

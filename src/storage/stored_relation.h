@@ -3,8 +3,10 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -38,14 +40,27 @@ struct IndexDef {
 ///   * no caching: repeated probes re-charge.
 /// Index structures themselves are memory-resident and free.
 ///
+/// Access paths. Every declared index is a real search structure, so a
+/// probe costs O(log n + matches) and a delete finds its row in
+/// O(log n + copies of its key):
+///   * the clustered index is the file itself — rows sorted by the
+///     clustered attribute — so a probe is one equal_range over positions;
+///   * each non-clustered index is a permutation of row positions sorted by
+///     (value, position), so its matches come out in physical order.
+/// Only files with no index at all find a deleted row by a full scan.
+/// Writes still cost O(n): the dense file defines block = position / K, so
+/// an insert or delete shifts the rows after its position and renumbers
+/// the permutation entries at or after it (moves, not comparisons).
+///
 /// Row storage is copy-on-write (the same idiom as Relation's counts map):
 /// copying a StoredRelation — and hence a whole StorageMap — shares the
-/// underlying rows and statistics; the first mutation of a shared relation
-/// clones them. A copied StorageMap therefore acts as a consistent snapshot
-/// that concurrent readers may scan and probe while updates proceed against
-/// the head version. Concurrent reads of relations sharing storage are
-/// safe; mutating one StoredRelation object concurrently with copying or
-/// reading that same object is not (the usual container contract).
+/// underlying rows, index permutations and statistics; the first mutation
+/// of a shared relation clones them. A copied StorageMap therefore acts as
+/// a consistent snapshot that concurrent readers may scan and probe while
+/// updates proceed against the head version. Concurrent reads of relations
+/// sharing storage are safe; mutating one StoredRelation object
+/// concurrently with copying or reading that same object is not (the usual
+/// container contract).
 class StoredRelation {
  public:
   StoredRelation(BaseRelationDef def, int tuples_per_block);
@@ -56,13 +71,15 @@ class StoredRelation {
   Status AddIndex(const std::string& attr, bool clustered);
 
   Status Insert(const Tuple& tuple);
-  /// Removes one copy of `tuple`; fails if absent.
+  /// Removes the physically first copy of `tuple`. Fails without cloning
+  /// shared storage if the arity is wrong or the tuple is absent.
   Status Delete(const Tuple& tuple);
 
   /// Appends `tuples` in one pass: reserve, append all, then a single
-  /// stable sort by the clustered attribute (when one exists). Equivalent
-  /// to inserting row by row but O(n log n) total instead of O(n^2) from
-  /// per-tuple re-shifts of the clustered order; used for initial loads.
+  /// stable sort by the clustered attribute (when one exists) and one per
+  /// non-clustered index. Equivalent to inserting row by row but
+  /// O(n log n) total instead of O(n^2) from per-tuple re-shifts of the
+  /// clustered order; used for initial loads.
   Status BulkLoad(std::vector<Tuple> tuples);
 
   const BaseRelationDef& def() const { return def_; }
@@ -108,33 +125,43 @@ class StoredRelation {
     return rep_ ? rep_->rows : EmptyRows();
   }
 
-  /// Column `c`'s values in physical row order — the column-major mirror of
-  /// rows(), kept in lockstep by every mutation. Probe scans walk one
-  /// contiguous value vector instead of hopping tuple to tuple.
-  const std::vector<Value>& ColumnValues(size_t c) const {
-    return rep_ ? rep_->columns[c] : EmptyColumn();
-  }
+  /// Verifies every access path against rows(): the file is ordered by the
+  /// clustered attribute, and each non-clustered permutation holds every
+  /// position once, sorted by (value, position). O(n log n); for tests.
+  Status CheckIndexes() const;
 
  private:
   /// Per-value row counts for one column; `size()` is the distinct count
   /// the join-factor statistic needs.
   using ColumnCounts = std::unordered_map<Value, int64_t, ValueHash>;
+  /// Row positions in (value, position) order: a non-clustered index.
+  using Positions = std::vector<size_t>;
 
-  /// The shared (copy-on-write) storage: the physical rows, their
-  /// column-major mirror, and the per-column statistics — all of which must
-  /// stay in lockstep under every mutation.
+  /// The shared (copy-on-write) storage: the physical rows, one position
+  /// permutation per non-clustered index (parallel to secondary_columns_),
+  /// and the per-column statistics — all of which must stay in lockstep
+  /// under every mutation.
   struct Rep {
     std::vector<Tuple> rows;
-    std::vector<std::vector<Value>> columns;  // columns[c][i] = rows[i][c]
-    std::vector<ColumnCounts> col_counts;     // one per schema column
+    std::vector<Positions> secondary;
+    std::vector<ColumnCounts> col_counts;  // one per schema column
   };
 
   static const std::vector<Tuple>& EmptyRows();
-  static const std::vector<Value>& EmptyColumn();
 
-  /// Re-derives the column mirror from rows — used after operations that
-  /// reorder rows wholesale (clustered sorts).
-  static void RebuildColumns(Rep& rep);
+  /// Positions [first, last) of the rows whose clustered attribute equals
+  /// `value`; first is where such a row would go when there is none.
+  std::pair<size_t, size_t> ClusteredRange(const Value& value) const;
+  /// Positions of the rows holding `value`, ascending, through
+  /// non-clustered index `k`.
+  std::span<const size_t> SecondaryMatches(size_t k,
+                                           const Value& value) const;
+  /// Position of the physically first row equal to `tuple`, through the
+  /// clustered index, else a non-clustered one, else a full scan.
+  std::optional<size_t> Locate(const Tuple& tuple) const;
+  /// Re-derives every non-clustered permutation from rows — used after
+  /// operations that reorder or append rows wholesale.
+  void RebuildSecondary(Rep& rep) const;
 
   Result<size_t> AttrIndex(const std::string& attr) const;
 
@@ -147,6 +174,8 @@ class StoredRelation {
   int tuples_per_block_;
   std::vector<IndexDef> indexes_;
   std::optional<size_t> clustered_column_;
+  /// Column of each non-clustered index, in declaration order.
+  std::vector<size_t> secondary_columns_;
   std::shared_ptr<Rep> rep_;  // null = empty
 };
 

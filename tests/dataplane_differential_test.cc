@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "query/catalog.h"
 #include "query/compiled_plan.h"
@@ -33,7 +34,7 @@ const bool kForceThreads = [] {
 }();
 
 std::string Attr(size_t rel, size_t col) {
-  return "a" + std::to_string(rel) + std::to_string(col);
+  return StrCat("a", rel, col);
 }
 
 struct RandomScenario {

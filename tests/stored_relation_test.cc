@@ -150,6 +150,19 @@ TEST(StoredRelationTest, InsertArityMismatchRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(StoredRelationTest, DeleteArityMismatchRejected) {
+  // Arity is checked before any lookup: a short tuple must not reach the
+  // index search (which reads the key column), and it is not "absent".
+  StoredRelation sr(R2Def(), 20);
+  EXPECT_EQ(sr.Delete(Tuple::Ints({1})).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(sr.AddIndex("Y", /*clustered=*/true).ok());
+  ASSERT_TRUE(sr.Insert(Tuple::Ints({1, 2})).ok());
+  EXPECT_EQ(sr.Delete(Tuple::Ints({1})).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sr.Delete(Tuple::Ints({1, 2, 3})).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sr.NumRows(), 1u);
+}
+
 TEST(StoredRelationTest, DistinctCountsTrackInsertsAndDeletes) {
   // The join-factor statistic is maintained incrementally; it must stay
   // exact through arbitrary insert/delete sequences, including deleting
@@ -235,10 +248,14 @@ TEST(StoredRelationTest, CopiesShareRowsUntilMutation) {
   EXPECT_EQ(head.NumRows(), 100u);  // one insert, one delete
   EXPECT_DOUBLE_EQ(snapshot.EstimatedMatchesPerKey("X"), 4.0);
 
-  // A failed delete must not un-share the snapshot's storage.
+  // A failed delete must not un-share the snapshot's storage, whether the
+  // tuple is absent or has the wrong arity.
   StoredRelation again = head;
   EXPECT_EQ(again.Delete(Tuple::Ints({999, 999})).code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(&again.rows(), &head.rows());
+  EXPECT_EQ(again.Delete(Tuple::Ints({3})).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(&again.rows(), &head.rows());
 }
 

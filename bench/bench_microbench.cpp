@@ -6,6 +6,8 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -166,19 +168,21 @@ BENCHMARK(BM_CompiledPlanCompile);
 // both attributes, Y scattered across the file. The three benchmarks below
 // time one access each — a probe through either index, a delete, an
 // insert — against n rows, so their growth in n is the access path's.
-StoredRelation LoadedR2(int64_t n, Random* rng) {
-  StoredRelation sr({"r2", Schema::Ints({"X", "Y"})}, 20);
-  if (!sr.AddIndex("X", /*clustered=*/true).ok() ||
-      !sr.AddIndex("Y", /*clustered=*/false).ok()) {
-    std::abort();
-  }
+std::vector<Tuple> R2Rows(int64_t n, Random* rng) {
   const int64_t keys = n / 4;
   std::vector<Tuple> rows;
   rows.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     rows.push_back(Tuple::Ints({i % keys, rng->UniformRange(0, keys - 1)}));
   }
-  if (!sr.BulkLoad(std::move(rows)).ok()) {
+  return rows;
+}
+
+StoredRelation LoadedR2(int64_t n, Random* rng) {
+  StoredRelation sr({"r2", Schema::Ints({"X", "Y"})}, 20);
+  if (!sr.AddIndex("X", /*clustered=*/true).ok() ||
+      !sr.AddIndex("Y", /*clustered=*/false).ok() ||
+      !sr.BulkLoad(R2Rows(n, rng)).ok()) {
     std::abort();
   }
   return sr;
@@ -232,6 +236,83 @@ void BM_StoredInsert(benchmark::State& state) {
       [](StoredRelation& sr, const Tuple& t) { return sr.Delete(t); });
 }
 BENCHMARK(BM_StoredInsert)->Arg(1000)->Arg(10000)->Arg(100000)->UseManualTime();
+
+// Copy-on-write after a checkpoint. A checkpoint shares each relation's and
+// stored file's storage with its snapshot; the next write unshares it by
+// cloning every row, and the next checkpoint drops the snapshot's orphaned
+// copy. One iteration is one such cycle over n rows of Example 6's r2
+// layout: share, write once, drop the old copy. Real time is the whole
+// cycle; the counters split it into the write (clone_us, clone included)
+// and the drop (free_us).
+template <typename Storage, typename Write>
+void TimeWriteAfterShare(benchmark::State& state, Storage head, Write write) {
+  double clone_s = 0;
+  double free_s = 0;
+  bool insert = false;
+  for (auto _ : state) {
+    auto snapshot = std::make_unique<Storage>(head);
+    const auto start = std::chrono::steady_clock::now();
+    const Status s = write(head, insert);
+    const auto written = std::chrono::steady_clock::now();
+    snapshot.reset();
+    const auto dropped = std::chrono::steady_clock::now();
+    if (!s.ok()) {
+      state.SkipWithError("write failed");
+      return;
+    }
+    insert = !insert;
+    clone_s += std::chrono::duration<double>(written - start).count();
+    free_s += std::chrono::duration<double>(dropped - written).count();
+  }
+  state.counters["clone_us"] =
+      benchmark::Counter(clone_s * 1e6, benchmark::Counter::kAvgIterations);
+  state.counters["free_us"] =
+      benchmark::Counter(free_s * 1e6, benchmark::Counter::kAvgIterations);
+}
+
+// The tuples alone: n handles copied, one overwritten, the old n dropped.
+void BM_TupleCopy(benchmark::State& state) {
+  Random rng(9);
+  std::vector<Tuple> rows = R2Rows(state.range(0), &rng);
+  const Tuple fresh = Tuple::Ints({-1, -1});
+  for (auto _ : state) {
+    std::vector<Tuple> copy = rows;
+    copy[rng.Uniform(copy.size())] = fresh;
+    rows.swap(copy);  // `copy` now holds the old rows and drops them
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TupleCopy)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// A Relation's counts map: the write inserts or removes one absent row.
+void BM_RelationWriteAfterShare(benchmark::State& state) {
+  Random rng(10);
+  Relation head(Schema::Ints({"X", "Y"}));
+  for (Tuple& t : R2Rows(state.range(0), &rng)) {
+    head.Insert(std::move(t));
+  }
+  const Tuple fresh = Tuple::Ints({-1, -1});
+  TimeWriteAfterShare(state, std::move(head),
+                      [&fresh](Relation& r, bool insert) {
+                        r.Insert(fresh, insert ? 1 : -1);
+                        return Status::OK();
+                      });
+}
+BENCHMARK(BM_RelationWriteAfterShare)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// A stored file with both indexes: the write deletes, then re-inserts, one
+// row.
+void BM_StoredWriteAfterShare(benchmark::State& state) {
+  Random rng(11);
+  StoredRelation head = LoadedR2(state.range(0), &rng);
+  const Tuple row = head.rows()[rng.Uniform(head.NumRows())];
+  TimeWriteAfterShare(state, std::move(head),
+                      [&row](StoredRelation& sr, bool insert) {
+                        return insert ? sr.Insert(row) : sr.Delete(row);
+                      });
+}
+BENCHMARK(BM_StoredWriteAfterShare)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace
 }  // namespace wvm::bench

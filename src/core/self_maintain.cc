@@ -122,7 +122,7 @@ Result<SelfMaintenanceAnalysis> SelfMaintenanceAnalysis::Analyze(
   // concrete — the update tuple or an already-resolved pruned row (the
   // kLocalComplement chain-walk below refuses anything else) — so the join
   // restricts it to the probed keys, and resolution materializes those
-  // rows (or falls back remotely on a probe the journal cannot settle).
+  // rows (or falls back remotely on a probe the history cannot settle).
   // Non-key edges out of the relation only filter the resolved row
   // further; they cannot widen what the term can reach.
   const std::vector<bool>& prunable = fk_protected;
@@ -235,20 +235,21 @@ std::string SelfMaintenanceAnalysis::ToString(
 
 SelfMaintainer::SelfMaintainer(ViewDefinitionPtr view,
                                SelfMaintainOptions options)
-    : Eca(std::move(view)),
-      options_self_(options),
-      history_(MakeHistoryJournal()) {}
-
-Journal<Update> SelfMaintainer::MakeHistoryJournal() {
-  return Journal<Update>([](const Update& u) { return u.ToString(); });
-}
+    : Eca(std::move(view)), options_self_(options) {}
 
 Status SelfMaintainer::Initialize(const Catalog& initial_source_state) {
   WVM_RETURN_IF_ERROR(Eca::Initialize(initial_source_state));
   WVM_ASSIGN_OR_RETURN(analysis_,
                        SelfMaintenanceAnalysis::Analyze(*view_, options_self_));
   aux_ = Catalog();
-  history_ = MakeHistoryJournal();
+  std::vector<std::vector<size_t>> pruned_keys(view_->num_relations());
+  for (size_t ri = 0; ri < view_->num_relations(); ++ri) {
+    const SelfMaintenanceAnalysis::Complement& c = analysis_.complement(ri);
+    if (c.mode == SelfMaintenanceAnalysis::Complement::Mode::kPruned) {
+      pruned_keys[ri] = c.key_cols;
+    }
+  }
+  history_ = KeyedUpdateHistory(std::move(pruned_keys));
   aux_live_ = false;
 
   if (options_self_.complements) {
@@ -267,7 +268,7 @@ Status SelfMaintainer::Initialize(const Catalog& initial_source_state) {
       }
       // Pruned: the initial semijoin — rows some referencing relation
       // actually joins at init. Rows referenced only later resolve through
-      // the update-history journal (or fall back to the source).
+      // the update history (or fall back to the source).
       Relation pruned(src->schema());
       std::set<Tuple> kept;
       for (const SelfMaintenanceAnalysis::ResolutionEdge& e :
@@ -331,8 +332,8 @@ int64_t SelfMaintainer::aux_rows() const {
 }
 
 Status SelfMaintainer::ApplyToAux(const Update& u) {
-  WVM_RETURN_IF_ERROR(history_.Append(u.id, u));
   WVM_ASSIGN_OR_RETURN(size_t ri, view_->RelationIndex(u.relation));
+  WVM_RETURN_IF_ERROR(history_.Record(ri, u));
   using Mode = SelfMaintenanceAnalysis::Complement::Mode;
   switch (analysis_.complement(ri).mode) {
     case Mode::kNone:
@@ -343,7 +344,7 @@ Status SelfMaintainer::ApplyToAux(const Update& u) {
       return aux_.Apply(u);
     case Mode::kPruned: {
       // Deletes must apply (a stale deleted row would be a false join
-      // partner); inserts stay lazy — the journal proves them on demand.
+      // partner); inserts stay lazy — the history proves them on demand.
       if (u.kind != UpdateKind::kDelete) {
         return Status::OK();
       }
@@ -366,42 +367,32 @@ Result<SelfMaintainer::Resolution> SelfMaintainer::ResolveKeyedRow(
   const auto value_at = [&key](size_t i) -> const Value& { return key[i]; };
 
   Resolution res;
-  WVM_ASSIGN_OR_RETURN(std::shared_ptr<const RelationKeyIndex> index,
-                       aux_.KeyIndexFor(name, edge.to_cols));
-  const size_t hash = RelationKeyIndex::ProbeHash(key.size(), value_at);
-  index->ForEachMatch(hash, value_at, [&res](const Tuple& row, int64_t count) {
-    if (count > 0) {
-      res.proof = TermProof::kProven;
-      res.row = row;
-    }
-  });
+  {
+    // Scoped: the index pins the complement's counts map, so it must be
+    // gone before a backfill below writes the complement — held across the
+    // write, it would make the write clone the whole map.
+    WVM_ASSIGN_OR_RETURN(std::shared_ptr<const RelationKeyIndex> index,
+                         aux_.KeyIndexFor(name, edge.to_cols));
+    const size_t hash = RelationKeyIndex::ProbeHash(key.size(), value_at);
+    index->ForEachMatch(hash, value_at,
+                        [&res](const Tuple& row, int64_t count) {
+                          if (count > 0) {
+                            res.proof = TermProof::kProven;
+                            res.row = row;
+                          }
+                        });
+  }
   if (res.proof == TermProof::kProven) {
     return res;
   }
 
-  // Probe miss: the journal is the source's update history since warehouse
+  // Probe miss: the history holds the source's updates since warehouse
   // start. The LAST write to this keyed row decides its status; no write at
   // all means the row predates the warehouse and was never referenced at
   // init — unknown, hence unprovable.
-  std::optional<Update> last;
-  WVM_RETURN_IF_ERROR(history_.Scan(
-      history_.begin_lsn(), history_.end_lsn(),
-      [&](uint64_t, const Update& u) {
-        if (u.relation == name) {
-          bool match = true;
-          for (size_t i = 0; i < edge.to_cols.size(); ++i) {
-            if (!(u.tuple.value(edge.to_cols[i]) == key[i])) {
-              match = false;
-              break;
-            }
-          }
-          if (match) {
-            last = u;
-          }
-        }
-        return Status::OK();
-      }));
-  if (!last.has_value()) {
+  const KeyedUpdateHistory::LastWrite* last =
+      history_.Find(edge.to, edge.to_cols, key);
+  if (last == nullptr) {
     return res;  // kUnproven
   }
   if (last->kind == UpdateKind::kDelete) {
@@ -409,11 +400,11 @@ Result<SelfMaintainer::Resolution> SelfMaintainer::ResolveKeyedRow(
     return res;
   }
   // Proven present: materialize it so future probes hit the complement.
-  WVM_ASSIGN_OR_RETURN(Relation * mut, aux_.GetMutable(name));
-  mut->Insert(last->tuple, 1);
-  ++journal_backfills_;
   res.proof = TermProof::kProven;
-  res.row = std::move(last->tuple);
+  res.row = last->row;
+  WVM_ASSIGN_OR_RETURN(Relation * mut, aux_.GetMutable(name));
+  mut->Insert(res.row, 1);
+  ++journal_backfills_;
   return res;
 }
 
@@ -457,7 +448,7 @@ Result<SelfMaintainer::TermProof> SelfMaintainer::ProveTerm(const Term& term) {
       if (r.proof == TermProof::kUnproven) {
         continue;  // another edge may still resolve e.to
       }
-      storage[e.to] = std::move(*r.row);
+      storage[e.to] = std::move(r.row);
       resolved[e.to] = &storage[e.to];
       progress = true;
     }
@@ -612,12 +603,8 @@ std::shared_ptr<const MaintainerSnapshot> SelfMaintainer::SnapshotState()
   snap->uqs = uqs_;
   snap->collect = collect_;
   snap->aux = aux_;
+  snap->history = history_;
   snap->aux_live = aux_live_;
-  (void)history_.Scan(history_.begin_lsn(), history_.end_lsn(),
-                      [&snap](uint64_t lsn, const Update& u) {
-                        snap->history.emplace_back(lsn, u);
-                        return Status::OK();
-                      });
   return snap;
 }
 
@@ -631,22 +618,19 @@ Status SelfMaintainer::RestoreState(const MaintainerSnapshot& snapshot) {
   uqs_ = snap->uqs;
   collect_ = snap->collect;
   aux_ = snap->aux;
-  history_ = MakeHistoryJournal();
-  for (const auto& [lsn, u] : snap->history) {
-    WVM_RETURN_IF_ERROR(history_.Append(lsn, u));
-  }
+  history_ = snap->history;
   aux_live_ = snap->aux_live;
   return Status::OK();
 }
 
 void SelfMaintainer::LoseVolatileState() {
-  // The complements and the update-history journal live in warehouse
-  // memory: a bare crash loses them, and the maintainer degrades to the
-  // pure constraint proofs plus remote fallback (still correct, just no
-  // longer self-maintaining) until a recovered restart restores them.
+  // The complements and the update history live in warehouse memory: a
+  // bare crash loses them, and the maintainer degrades to the pure
+  // constraint proofs plus remote fallback (still correct, just no longer
+  // self-maintaining) until a recovered restart restores them.
   Eca::LoseVolatileState();
   aux_ = Catalog();
-  history_ = MakeHistoryJournal();
+  history_.Clear();
   aux_live_ = false;
 }
 

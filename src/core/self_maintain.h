@@ -3,13 +3,12 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/eca.h"
-#include "recovery/journal.h"
+#include "core/update_history.h"
 
 namespace wvm {
 
@@ -24,8 +23,8 @@ struct SelfMaintainOptions {
   bool complements = true;
   /// Row-prune the complement of a relation whose declared key is the join
   /// target of declared foreign keys: keep only rows proven live by the
-  /// initial semijoin or by the update-history journal, resolving probe
-  /// misses through the journal and falling back to the source when a row's
+  /// initial semijoin or by the update history, resolving probe misses
+  /// through the history and falling back to the source when a row's
   /// status cannot be proven.
   bool prune_fk_targets = true;
 };
@@ -43,7 +42,7 @@ enum class LocalDecision {
   /// Auxiliary complements cover every unbound operand of every term; the
   /// compensated query is evaluated at the warehouse against them. The
   /// static proof may still fail at run time for a pruned complement (cold
-  /// row, unknown to the journal), which falls back to the source.
+  /// row, unknown to the update history), which falls back to the source.
   kLocalComplement,
   /// Deletes with every base key projected: the view's own state suffices
   /// (ECA-Key's key-delete). Only taken while UQS is empty — with queries
@@ -67,7 +66,7 @@ class SelfMaintenanceAnalysis {
     enum class Mode {
       kNone,    // never needed (or complements disabled)
       kFull,    // exact mirror, maintained by applying every update
-      kPruned,  // keyed subset: initial semijoin + journal-resolved rows
+      kPruned,  // keyed subset: initial semijoin + history-resolved rows
     };
     Mode mode = Mode::kNone;
     /// kPruned: the relation's declared key columns (own-schema indexes).
@@ -133,10 +132,10 @@ class SelfMaintenanceAnalysis {
 /// Auxiliary state (all of it checkpointed by SnapshotState and volatile
 /// under a bare crash):
 ///   * complements: a Catalog of base-relation mirrors, full or FK-pruned,
-///   * the update-history journal (a recovery Journal keyed by update id),
-///     which doubles as the source's update history for resolving pruned
-///     complement misses: the last journaled write to a keyed row proves
-///     its presence or absence.
+///   * the source's update history since warehouse start, kept as a
+///     last-write index over the pruned relations' keys
+///     (KeyedUpdateHistory): the last write to a keyed row proves its
+///     presence or absence, settling a pruned-complement miss.
 class SelfMaintainer : public Eca {
  public:
   explicit SelfMaintainer(ViewDefinitionPtr view,
@@ -159,16 +158,18 @@ class SelfMaintainer : public Eca {
   int64_t constraint_empty_updates() const { return constraint_empty_; }
   /// Subset of local_updates(): view-side key-deletes.
   int64_t key_delete_updates() const { return key_deletes_; }
-  /// Pruned-complement rows materialized from the update-history journal.
+  /// Pruned-complement rows materialized from the update history.
   int64_t journal_backfills() const { return journal_backfills_; }
   /// Remote updates whose static decision was local but whose runtime proof
-  /// failed (cold pruned row unknown to the journal).
+  /// failed (cold pruned row unknown to the update history).
   int64_t fallback_updates() const { return fallbacks_; }
   /// Distinct rows currently held across all complements.
   int64_t aux_rows() const;
-  /// Records in the update-history journal.
-  int64_t journal_records() const {
-    return static_cast<int64_t>(history_.size());
+  /// The complements themselves (read-only, for diagnostics and tests).
+  const Catalog& complements() const { return aux_; }
+  /// Distinct pruned-relation keys the update history holds a write for.
+  int64_t history_keys() const {
+    return static_cast<int64_t>(history_.num_keys());
   }
   /// Whether the auxiliary state is live (false after a bare crash until a
   /// recovered restart restores it; the maintainer degrades to the pure
@@ -176,10 +177,10 @@ class SelfMaintainer : public Eca {
   bool aux_live() const { return aux_live_; }
 
   /// Recoverable state: ECA's (MV, UQS, COLLECT) plus the complements and
-  /// the update-history journal.
+  /// the update history.
   struct Snapshot : Eca::Snapshot {
     Catalog aux;
-    std::vector<std::pair<uint64_t, Update>> history;
+    KeyedUpdateHistory history;
     bool aux_live = false;
   };
   std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
@@ -189,23 +190,23 @@ class SelfMaintainer : public Eca {
  private:
   enum class TermProof { kProven, kEmpty, kUnproven };
 
-  /// Mirrors u into the update-history journal and the complements (full:
-  /// apply exactly; pruned: apply deletes, defer inserts to the journal).
+  /// Mirrors u into the update history and the complements (full: apply
+  /// exactly; pruned: apply deletes, defer inserts to the history).
   Status ApplyToAux(const Update& u);
 
   /// Chain-walks the term's bound tuples along the resolution edges,
   /// resolving every unbound pruned operand to a concrete row (complement
-  /// probe, then journal). kProven: evaluate against aux_. kEmpty: a
+  /// probe, then update history). kProven: evaluate against aux_. kEmpty: a
   /// required join partner is proven absent, the term contributes nothing.
   /// kUnproven: ship it.
   Result<TermProof> ProveTerm(const Term& term);
 
   /// Probe one pruned complement for the row with `key` in `edge.to_cols`.
-  /// Outcomes: row (present, materialized), empty optional (proven absent),
-  /// kUnproven via the bool. Signature flattened into a small struct.
+  /// Outcomes: kProven with the row (present, materialized), kEmpty (proven
+  /// absent), kUnproven.
   struct Resolution {
     TermProof proof = TermProof::kUnproven;
-    std::optional<Tuple> row;
+    Tuple row;  // set iff kProven
   };
   Result<Resolution> ResolveKeyedRow(
       const SelfMaintenanceAnalysis::ResolutionEdge& edge,
@@ -223,12 +224,10 @@ class SelfMaintainer : public Eca {
   /// current and COLLECT empty, so the delta is -matching view rows).
   Status KeyDeleteLocally(const Update& u);
 
-  static Journal<Update> MakeHistoryJournal();
-
   SelfMaintainOptions options_self_;
   SelfMaintenanceAnalysis analysis_;
-  Catalog aux_;               // the complements
-  Journal<Update> history_;   // update history, LSN = update id
+  Catalog aux_;                 // the complements
+  KeyedUpdateHistory history_;  // last write per pruned-relation key
   bool aux_live_ = false;
 
   int64_t local_updates_ = 0;

@@ -1,11 +1,15 @@
 #ifndef WVM_RELATIONAL_TUPLE_H_
 #define WVM_RELATIONAL_TUPLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <new>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relational/value.h"
@@ -31,41 +35,51 @@ inline size_t TupleHashFold(size_t h, size_t value_hash) {
 /// in the multiplicity a Relation associates with the tuple, and in the
 /// explicit `sign` of a bound tuple inside a query term.
 ///
-/// Tuples are immutable after construction (there is no mutating accessor),
-/// which is the invariant that makes the memoized hash below safe: the hash
-/// is computed from the values at most once and cached. The cache is an
-/// atomic so concurrent readers (parallel term evaluation hashes shared
-/// catalog tuples) are race-free; racing writers store the same value.
+/// A Tuple is a one-pointer handle to an immutable, reference-counted row:
+/// one allocation holds the count, the memoized hash, the arity and the
+/// values inline. Copying a tuple increments the count (one atomic add),
+/// moving one steals the pointer, and the last handle to go frees the row.
+/// So a relation clone, a stored file's shift and a freed checkpoint move
+/// 8-byte handles, never value vectors. The empty tuple holds no row.
+///
+/// Rows are immutable after construction (there is no mutating accessor),
+/// which is the invariant that makes sharing them, and the memoized hash,
+/// safe: the hash is computed from the values at most once and cached in
+/// the row. Both the count and the hash memo are atomics, so concurrent
+/// threads may copy, drop and hash handles to the same row (parallel term
+/// evaluation shares catalog tuples); racing hash writers store the same
+/// value. Mutating one Tuple object while another thread reads that same
+/// object is not safe (the usual value contract).
 class Tuple {
  public:
-  Tuple() = default;
-  explicit Tuple(std::vector<Value> values) : values_(std::move(values)) {}
+  Tuple() noexcept = default;
+  explicit Tuple(std::vector<Value>&& values);
+  explicit Tuple(std::span<const Value> values);
 
-  Tuple(const Tuple& other)
-      : values_(other.values_),
-        hash_(other.hash_.load(std::memory_order_relaxed)) {}
-  Tuple(Tuple&& other) noexcept
-      : values_(std::move(other.values_)),
-        hash_(other.hash_.load(std::memory_order_relaxed)) {}
-  Tuple& operator=(const Tuple& other) {
-    values_ = other.values_;
-    hash_.store(other.hash_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
+  Tuple(const Tuple& other) noexcept : row_(other.row_) { Retain(row_); }
+  Tuple(Tuple&& other) noexcept : row_(std::exchange(other.row_, nullptr)) {}
+  Tuple& operator=(const Tuple& other) noexcept {
+    Retain(other.row_);
+    Release(std::exchange(row_, other.row_));
     return *this;
   }
   Tuple& operator=(Tuple&& other) noexcept {
-    values_ = std::move(other.values_);
-    hash_.store(other.hash_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
+    if (this != &other) {
+      Release(std::exchange(row_, std::exchange(other.row_, nullptr)));
+    }
     return *this;
   }
+  ~Tuple() { Release(row_); }
 
   /// Convenience for the paper's all-integer examples: Tuple::Ints({1, 2}).
   static Tuple Ints(std::initializer_list<int64_t> ints);
 
-  size_t size() const { return values_.size(); }
-  const Value& value(size_t i) const { return values_[i]; }
-  const std::vector<Value>& values() const { return values_; }
+  size_t size() const { return row_ == nullptr ? 0 : row_->size; }
+  const Value& value(size_t i) const { return row_->values()[i]; }
+  std::span<const Value> values() const {
+    return row_ == nullptr ? std::span<const Value>()
+                           : std::span<const Value>(row_->values(), row_->size);
+  }
 
   /// Projection onto `indices` (may repeat/reorder).
   Tuple Project(const std::vector<size_t>& indices) const;
@@ -83,19 +97,42 @@ class Tuple {
   /// Nominal byte width on the wire.
   int ByteWidth() const;
 
-  bool operator==(const Tuple& other) const { return values_ == other.values_; }
+  /// Inline, like Value's comparisons: hash-map probes and ordered sets
+  /// compare tuples in their innermost loops.
+  bool operator==(const Tuple& other) const {
+    if (row_ == other.row_) {
+      return true;
+    }
+    const std::span<const Value> a = values();
+    const std::span<const Value> b = other.values();
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
   bool operator!=(const Tuple& other) const { return !(*this == other); }
   /// Lexicographic order, for canonical printing.
-  bool operator<(const Tuple& other) const { return values_ < other.values_; }
+  bool operator<(const Tuple& other) const {
+    const std::span<const Value> a = values();
+    const std::span<const Value> b = other.values();
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
 
-  /// Memoized; O(size) only on the first call per tuple.
+  /// Memoized; O(size) only on the first call per row.
   size_t Hash() const {
-    size_t h = hash_.load(std::memory_order_relaxed);
+    if (row_ == nullptr) {
+      return kTupleHashSeed;
+    }
+    size_t h = row_->hash.load(std::memory_order_relaxed);
     if (h == kUnset) {
       h = ComputeHash();
-      hash_.store(h, std::memory_order_relaxed);
+      row_->hash.store(h, std::memory_order_relaxed);
     }
     return h;
+  }
+
+  /// Whether Hash() would return without walking the values (for tests).
+  bool hash_cached() const {
+    return row_ == nullptr ||
+           row_->hash.load(std::memory_order_relaxed) != kUnset;
   }
 
   /// Paper-style rendering: [1,2].
@@ -106,11 +143,45 @@ class Tuple {
   // recomputes on every call, which is correct (and vanishingly rare).
   static constexpr size_t kUnset = 0;
 
+  // The shared row: this header, then `size` Values in the same allocation.
+  // A row is held by fewer than 2^32 handles (that many would take 32 GiB).
+  struct Row {
+    std::atomic<uint32_t> refs;
+    uint32_t size;
+    std::atomic<size_t> hash;
+
+    Value* values() {
+      return std::launder(reinterpret_cast<Value*>(
+          reinterpret_cast<unsigned char*>(this) + sizeof(Row)));
+    }
+  };
+  static_assert(sizeof(Row) % alignof(Value) == 0,
+                "values must start aligned right after the row header");
+
+  static void Retain(Row* row) noexcept {
+    if (row != nullptr) {
+      row->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  static void Release(Row* row) noexcept {
+    if (row != nullptr &&
+        row->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Destroy(row);
+    }
+  }
+  static void Destroy(Row* row) noexcept;
+
+  // A tuple of `n` values whose i-th value is constructed from value_at(i)
+  // (a copy, or a move when value_at returns an rvalue reference).
+  template <typename ValueAt>
+  static Tuple Build(size_t n, const ValueAt& value_at);
+
   size_t ComputeHash() const;
 
-  std::vector<Value> values_;
-  mutable std::atomic<size_t> hash_{kUnset};
+  Row* row_ = nullptr;  // null = the empty tuple
 };
+
+static_assert(sizeof(Tuple) == sizeof(void*), "a Tuple is one pointer");
 
 /// A non-owning view of selected columns of a tuple that hashes and compares
 /// exactly like the materialized projection `tuple.Project(*columns)`.

@@ -108,11 +108,7 @@ Result<Relation> FinishFrontier(const ViewDefinition& view, const Frontier& f,
   Relation assembled(view.combined_schema());
   assembled.Reserve(f.rows.size());
   for (const auto& [row, count] : f.rows) {
-    std::vector<Value> values(width);
-    for (size_t c = 0; c < width; ++c) {
-      values[c] = row.value(where[c]);
-    }
-    assembled.Insert(Tuple(std::move(values)), count);
+    assembled.Insert(row.Project(where), count);
   }
   // The full condition (not just the residual) is applied here: bound
   // operands are seeded into the frontier by plain concatenation, so a

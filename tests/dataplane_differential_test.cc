@@ -62,7 +62,7 @@ RandomScenario MakeScenario(uint64_t seed) {
     for (size_t c = 0; c < arity; ++c) {
       names.push_back(Attr(r, c));
     }
-    defs.push_back({"r" + std::to_string(r), Schema::Ints(names)});
+    defs.push_back({StrCat("r", r), Schema::Ints(names)});
   }
 
   // Chain edges r_{i-1} ~ r_i, each dropped with probability 1/4 so some

@@ -1,6 +1,6 @@
 // The self-maintenance decision procedure and runtime: static decisions
 // from declared key/FK constraints, constraint-proven empty deltas, pruned
-// complements with journal-backed resolution, remote fallback on cold
+// complements with history-backed resolution, remote fallback on cold
 // rows, differential equivalence with ECA, and crash recovery.
 #include "core/self_maintain.h"
 
@@ -148,7 +148,7 @@ TEST(SelfMaintainerTest, FkStarAnswersEveryUpdateWithZeroSourceQueries) {
   EXPECT_EQ(m.remote_updates(), 0);
   EXPECT_EQ(m.local_updates(), 40);
   EXPECT_GT(m.constraint_empty_updates(), 0);  // dimension churn occurred
-  EXPECT_GT(m.journal_records(), 0);
+  EXPECT_GT(m.history_keys(), 0);
 }
 
 TEST(SelfMaintainerTest, DimensionUpdatesAreProvenEmptyWithoutEvaluation) {
@@ -178,7 +178,7 @@ TEST(SelfMaintainerTest, JournalBackfillResolvesFreshDimensionRows) {
   std::unique_ptr<Simulation> sim = MustMakeSim(
       w.initial, w.view, MaintainerSpec{Algorithm::kSelfMaintain});
   // The fresh part is lazily absent from the pruned complement; the order
-  // referencing it must be proven through the update-history journal.
+  // referencing it must be proven through the update history.
   sim->SetUpdateScript({
       Update::Insert("parts", Tuple::Ints({600, 0})),
       Update::Insert("orders", Tuple::Ints({900, 600})),
@@ -191,6 +191,30 @@ TEST(SelfMaintainerTest, JournalBackfillResolvesFreshDimensionRows) {
   Result<Relation> expected = sim->SourceViewNow();
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(sim->warehouse_view(), *expected);
+}
+
+TEST(SelfMaintainerTest, BackfillWritesTheComplementInPlace) {
+  Workload w = MustMakeFkStar();
+  std::unique_ptr<Simulation> sim = MustMakeSim(
+      w.initial, w.view, MaintainerSpec{Algorithm::kSelfMaintain});
+  const SelfMaintainer& m = AsSelfMaintainer(*sim);
+  Result<const Relation*> parts = m.complements().Get("parts");
+  ASSERT_TRUE(parts.ok()) << parts.status();
+  const FlatCountsMap* storage = (*parts)->shared_entries().get();
+  ASSERT_NE(storage, nullptr);
+  sim->SetUpdateScript({
+      Update::Insert("parts", Tuple::Ints({600, 0})),
+      Update::Insert("orders", Tuple::Ints({900, 600})),
+  });
+  RandomPolicy policy(3);
+  ASSERT_TRUE(RunToQuiescence(sim.get(), &policy).ok());
+  ASSERT_EQ(m.journal_backfills(), 1);
+  // Nothing else shares the complement, so the backfill must write the
+  // counts map in place: a clone would mean the resolution still pinned it.
+  parts = m.complements().Get("parts");
+  ASSERT_TRUE(parts.ok()) << parts.status();
+  EXPECT_EQ((*parts)->shared_entries().get(), storage);
+  EXPECT_EQ((*parts)->CountOf(Tuple::Ints({600, 0})), 1);
 }
 
 TEST(SelfMaintainerTest, ColdRowFallsBackToTheSource) {
@@ -243,7 +267,7 @@ TEST(SelfMaintainerTest, LoseVolatileStateDegradesToConstraintProofs) {
   m.LoseVolatileState();
   EXPECT_FALSE(m.aux_live());
   EXPECT_EQ(m.aux_rows(), 0);
-  EXPECT_EQ(m.journal_records(), 0);
+  EXPECT_EQ(m.history_keys(), 0);
 }
 
 TEST(SelfMaintainerTest, ComplementsOffKeepsKeyDeletesLocal) {

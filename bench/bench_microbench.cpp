@@ -106,44 +106,6 @@ void BM_SubstitutedTermEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_SubstitutedTermEvaluation)->Arg(1000)->Arg(10000);
 
-// A/B twins of the two hot-loop benchmarks above with the compiled-plan
-// fast path disabled, so one binary run reports both sides of the
-// compiled-vs-interpreted comparison (BENCH_dataplane.json keeps the
-// original names for the default — compiled — path).
-void BM_ViewEvaluationChainInterpreted(benchmark::State& state) {
-  ScopedCompiledPlans scoped(false);
-  Random rng(4);
-  Result<Workload> w = MakeExample6Workload(
-      {/*cardinality=*/state.range(0), /*join_factor=*/4}, &rng);
-  if (!w.ok()) {
-    state.SkipWithError(w.status().ToString().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    Result<Relation> v = EvaluateView(w->view, w->initial);
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ViewEvaluationChainInterpreted)->Arg(100)->Arg(1000)->Arg(5000);
-
-void BM_SubstitutedTermEvaluationInterpreted(benchmark::State& state) {
-  ScopedCompiledPlans scoped(false);
-  Random rng(5);
-  Result<Workload> w = MakeExample6Workload({state.range(0), 4}, &rng);
-  if (!w.ok()) {
-    state.SkipWithError(w.status().ToString().c_str());
-    return;
-  }
-  Term t = *Term::FromView(w->view).Substitute(
-      Update::Insert("r1", Tuple::Ints({7, 3})));
-  for (auto _ : state) {
-    Result<Relation> r = EvaluateTerm(t, w->initial);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_SubstitutedTermEvaluationInterpreted)->Arg(1000)->Arg(10000);
-
 // One-time compilation cost per (view, bound-mask) shape — the price paid
 // at view registration, amortized over every later delta evaluation.
 void BM_CompiledPlanCompile(benchmark::State& state) {

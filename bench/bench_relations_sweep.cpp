@@ -44,7 +44,7 @@ SweepResult RunChain(int num_relations, Algorithm algorithm, int rv_period) {
   options.bytes_per_tuple = 4;
   options.indexes = w->scenario1_indexes;
   Result<std::unique_ptr<ViewMaintainer>> maintainer =
-      MakeMaintainer(algorithm, w->view, rv_period);
+      MakeMaintainer({.algorithm = algorithm, .rv_period = rv_period}, w->view);
   if (!maintainer.ok()) {
     std::cerr << maintainer.status() << "\n";
     return SweepResult{};

@@ -39,7 +39,7 @@ StalenessRow RunStaleness(Algorithm algorithm, int rv_period,
     return StalenessRow{};
   }
   Result<std::unique_ptr<ViewMaintainer>> maintainer =
-      MakeMaintainer(algorithm, w->view, rv_period);
+      MakeMaintainer({.algorithm = algorithm, .rv_period = rv_period}, w->view);
   if (!maintainer.ok()) {
     std::cerr << maintainer.status() << "\n";
     return StalenessRow{};

@@ -21,7 +21,7 @@ Relation Replay(const PaperExample& ex, const std::string& algorithm) {
   Result<Algorithm> parsed = ParseAlgorithm(algorithm);
   WVM_CHECK_OK(parsed.status());
   Result<std::unique_ptr<ViewMaintainer>> maintainer =
-      MakeMaintainer(*parsed, ex.view);
+      MakeMaintainer({.algorithm = *parsed}, ex.view);
   WVM_CHECK_OK(maintainer.status());
   SimulationOptions options;
   options.instrument.record_trace = true;

@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
       // RV with s dividing k so staleness does not mask the comparison;
       // EcaBatch with batches of two.
       Result<std::unique_ptr<ViewMaintainer>> maintainer = MakeMaintainer(
-          algorithm, workload->view,
-          /*rv_period=*/num_updates % 2 == 0 ? 2 : 1);
+          {.algorithm = algorithm, .rv_period = num_updates % 2 == 0 ? 2 : 1},
+          workload->view);
       WVM_CHECK_OK(maintainer.status());
       SimulationOptions options;
       options.batch_size = algorithm == Algorithm::kEcaBatch ? 2 : 1;

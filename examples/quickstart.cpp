@@ -42,7 +42,7 @@ int main() {
   SimulationOptions options;
   options.instrument.record_trace = true;
   Result<std::unique_ptr<ViewMaintainer>> eca =
-      MakeMaintainer(Algorithm::kEca, *view);
+      MakeMaintainer({.algorithm = Algorithm::kEca}, *view);
   WVM_CHECK_OK(eca.status());
   Result<std::unique_ptr<Simulation>> sim =
       Simulation::Create(initial, *view, std::move(*eca), options);

@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
        {Algorithm::kBasic, Algorithm::kEca, Algorithm::kEcaLocal,
         Algorithm::kLca, Algorithm::kRv, Algorithm::kSc}) {
     Result<std::unique_ptr<ViewMaintainer>> maintainer =
-        MakeMaintainer(algorithm, workload->view, /*rv_period=*/6);
+        MakeMaintainer({.algorithm = algorithm, .rv_period = 6},
+                       workload->view);
     WVM_CHECK_OK(maintainer.status());
     const StoreCopies* sc =
         dynamic_cast<const StoreCopies*>(maintainer->get());

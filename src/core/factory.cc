@@ -96,15 +96,6 @@ Result<std::unique_ptr<ViewMaintainer>> MakeMaintainer(
   return Status::InvalidArgument("unknown algorithm");
 }
 
-Result<std::unique_ptr<ViewMaintainer>> MakeMaintainer(Algorithm algorithm,
-                                                       ViewDefinitionPtr view,
-                                                       int rv_period) {
-  MaintainerSpec spec;
-  spec.algorithm = algorithm;
-  spec.rv_period = rv_period;
-  return MakeMaintainer(spec, std::move(view));
-}
-
 Result<Algorithm> ParseAlgorithm(const std::string& name) {
   for (Algorithm a : AllAlgorithms()) {
     if (name == AlgorithmName(a)) {

@@ -47,11 +47,6 @@ struct MaintainerSpec {
 Result<std::unique_ptr<ViewMaintainer>> MakeMaintainer(
     const MaintainerSpec& spec, ViewDefinitionPtr view);
 
-/// Legacy shim over the spec-based overload.
-Result<std::unique_ptr<ViewMaintainer>> MakeMaintainer(Algorithm algorithm,
-                                                       ViewDefinitionPtr view,
-                                                       int rv_period = 1);
-
 /// Parses "basic", "eca", "eca-key", ... (the AlgorithmName spellings).
 Result<Algorithm> ParseAlgorithm(const std::string& name);
 

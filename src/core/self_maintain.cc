@@ -302,21 +302,20 @@ Status SelfMaintainer::Initialize(const Catalog& initial_source_state) {
   // steady-state local evaluation hits pairwise masks (single-bit masks are
   // already warmed by ViewDefinition::Create).
   const size_t n = view_->num_relations();
-  if (n <= 64) {
-    for (size_t i = 0; i < n; ++i) {
-      const bool local =
-          analysis_.DecisionFor(i, UpdateKind::kInsert) ==
-              LocalDecision::kLocalComplement ||
-          analysis_.DecisionFor(i, UpdateKind::kDelete) ==
-              LocalDecision::kLocalComplement;
-      if (!local) {
-        continue;
-      }
-      for (size_t p = 0; p < n; ++p) {
-        if (p != i) {
-          (void)view_->CompiledPlanFor((uint64_t{1} << i) |
-                                       (uint64_t{1} << p));
-        }
+  for (size_t i = 0; i < n; ++i) {
+    const bool local =
+        analysis_.DecisionFor(i, UpdateKind::kInsert) ==
+            LocalDecision::kLocalComplement ||
+        analysis_.DecisionFor(i, UpdateKind::kDelete) ==
+            LocalDecision::kLocalComplement;
+    if (!local) {
+      continue;
+    }
+    for (size_t p = 0; p < n; ++p) {
+      if (p != i) {
+        WVM_RETURN_IF_ERROR(
+            view_->CompiledPlanFor((uint64_t{1} << i) | (uint64_t{1} << p))
+                .status());
       }
     }
   }

@@ -1,6 +1,5 @@
 #include "query/compiled_plan.h"
 
-#include <atomic>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -13,24 +12,14 @@ namespace wvm {
 
 namespace {
 
-std::atomic<bool> g_compiled_plans_enabled{true};
-
 constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
 }  // namespace
 
-bool CompiledPlansEnabled() {
-  return g_compiled_plans_enabled.load(std::memory_order_relaxed);
-}
-
-void SetCompiledPlansEnabled(bool enabled) {
-  g_compiled_plans_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 uint64_t TermBoundMask(const Term& term) {
   uint64_t mask = 0;
   const std::vector<TermOperand>& ops = term.operands();
-  for (size_t i = 0; i < ops.size() && i < 64; ++i) {
+  for (size_t i = 0; i < ops.size(); ++i) {
     if (ops[i].is_bound) {
       mask |= uint64_t{1} << i;
     }
@@ -41,12 +30,6 @@ uint64_t TermBoundMask(const Term& term) {
 Result<CompiledDeltaPlan> CompiledDeltaPlan::Compile(
     const ViewDefinition& view, uint64_t bound_mask) {
   const size_t n = view.num_relations();
-  if (n > 64) {
-    return Status::InvalidArgument(
-        StrCat("view ", view.name(), " has ", n,
-               " relations; compiled plans support at most 64"));
-  }
-
   CompiledDeltaPlan plan;
   plan.bound_mask_ = bound_mask;
   plan.operands_.reserve(n);
@@ -60,7 +43,7 @@ Result<CompiledDeltaPlan> CompiledDeltaPlan::Compile(
   // pos_of[c] = join-order column holding combined column c, or kNone.
   std::vector<size_t> pos_of(width, kNone);
   const auto is_bound = [bound_mask](size_t p) {
-    return p < 64 && ((bound_mask >> p) & 1) != 0;
+    return ((bound_mask >> p) & 1) != 0;
   };
 
   // Seed at the first bound operand (a delta term then starts from the
@@ -138,9 +121,9 @@ Result<CompiledDeltaPlan> CompiledDeltaPlan::Compile(
   }
 
   // Fuse the residual condition into flat comparison leaves over join-order
-  // columns. Anything that is not a plain comparison falls back to the
-  // interpreted BoundPredicate, pre-bound here against the join-order
-  // schema so execution never rebinds.
+  // columns. Anything that is not a plain comparison falls back to a
+  // BoundPredicate walk, pre-bound here against the join-order schema so
+  // execution never rebinds.
   if (!view.residual_cond().IsTrue()) {
     bool need_fallback = false;
     for (const Predicate& conjunct : view.residual_cond().TopLevelConjuncts()) {
@@ -275,8 +258,8 @@ Relation GatherFiltered(const ColumnBlock& acc, const CompiledDeltaPlan& plan,
   return out;
 }
 
-// Mirrors MaterializeOperand's arity check (and its error text) for bound
-// operands, so compiled and interpreted paths fail identically.
+// Mirrors EvaluateTermNaive's arity check (and its error text) for bound
+// operands, so the runtime evaluator and the reference fail identically.
 Status CheckBoundArity(const Term& term, size_t position) {
   const TermOperand& op = term.operands()[position];
   const size_t arity = term.view()->relations()[position].schema.size();
@@ -289,7 +272,7 @@ Status CheckBoundArity(const Term& term, size_t position) {
   return Status::OK();
 }
 
-// Clamped output pre-sizing, as in the interpreted JoinStep.
+// Output pre-sizing for `rows` probes of `per_key` matches each, clamped.
 size_t ReserveFor(size_t rows, size_t per_key) {
   constexpr size_t kMaxReserve = size_t{1} << 20;
   per_key = per_key == 0 ? 1 : per_key;
@@ -301,9 +284,9 @@ size_t ReserveFor(size_t rows, size_t per_key) {
 Result<Relation> ExecuteCompiledPlan(const CompiledDeltaPlan& plan,
                                      const Term& term,
                                      const Catalog& catalog) {
-  // Validate every operand up front (the interpreted path materializes all
-  // operands before joining, so a bad bound tuple or a missing relation must
-  // error even when an earlier join step already produced nothing).
+  // Validate every operand up front, as EvaluateTermNaive does by
+  // materializing them all: a bad bound tuple or a missing relation must
+  // error even when an earlier join step already produced nothing.
   for (size_t i = 0; i < plan.operands_.size(); ++i) {
     if (term.operands()[i].is_bound) {
       WVM_RETURN_IF_ERROR(CheckBoundArity(term, i));

@@ -1,7 +1,6 @@
 #include "query/evaluator.h"
 
-#include <algorithm>
-#include <limits>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -9,7 +8,6 @@
 #include "common/thread_pool.h"
 #include "query/compiled_plan.h"
 #include "relational/algebra.h"
-#include "relational/join_index.h"
 
 namespace wvm {
 
@@ -48,214 +46,12 @@ Result<Relation> MaterializeOperand(const Term& term, size_t i,
   return stored->WithSchema(std::move(slice));
 }
 
-// Hash-joins `left` and `right` on the parallel key column lists (cross
-// product when the lists are empty), building the hash table on the smaller
-// input and probing the larger with allocation-free key views. Output rows
-// are left-concat-right regardless of build side; multiplicities multiply.
-Result<Relation> JoinStep(const Relation& left,
-                          const std::vector<size_t>& left_keys,
-                          const Relation& right,
-                          const std::vector<size_t>& right_keys) {
-  WVM_ASSIGN_OR_RETURN(Schema out_schema, left.schema().Concat(right.schema()));
-  Relation out(std::move(out_schema));
-
-  if (left_keys.empty()) {
-    const size_t ln = left.NumDistinct();
-    const size_t rn = right.NumDistinct();
-    if (ln != 0 && rn != 0) {
-      constexpr size_t kMaxReserve = size_t{1} << 20;
-      out.Reserve(ln < kMaxReserve / rn ? ln * rn : kMaxReserve);
-    }
-    Relation::CountsMap& m = out.MutableEntries();
-    for (const auto& [ta, ca] : left.entries()) {
-      for (const auto& [tb, cb] : right.entries()) {
-        m.AddCount(ta.Concat(tb), ca * cb);
-      }
-    }
-    return out;
-  }
-
-  const bool build_left = left.NumDistinct() <= right.NumDistinct();
-  const Relation& build = build_left ? left : right;
-  const std::vector<size_t>& build_keys = build_left ? left_keys : right_keys;
-  const Relation& probe = build_left ? right : left;
-  const std::vector<size_t>& probe_keys = build_left ? right_keys : left_keys;
-
-  JoinBuildIndex table(build_keys);
-  table.Reserve(build.NumDistinct());
-  for (const auto& [t, c] : build.entries()) {
-    table.Add(t, c);
-  }
-
-  // Pre-size the output for the expected match count: probe rows times the
-  // build side's average rows per distinct key.
-  if (!table.empty()) {
-    constexpr size_t kMaxReserve = size_t{1} << 20;
-    const size_t per_key =
-        std::max<size_t>(1, table.num_rows() / table.num_keys());
-    const size_t probe_n = probe.NumDistinct();
-    out.Reserve(probe_n < kMaxReserve / per_key ? probe_n * per_key
-                                                : kMaxReserve);
-  }
-  Relation::CountsMap& m = out.MutableEntries();
-  for (const auto& [t, c] : probe.entries()) {
-    table.ForEachMatch(t, probe_keys, [&](const Tuple& bt, int64_t bc) {
-      const Tuple& lt = build_left ? bt : t;
-      const Tuple& rt = build_left ? t : bt;
-      m.AddCount(lt.Concat(rt), c * bc);
-    });
-  }
-  return out;
-}
-
 }  // namespace
 
-Result<Relation> JoinMaterializedOperands(
-    const ViewDefinition& view, const std::vector<Relation>& operands) {
-  if (operands.size() != view.num_relations()) {
-    return Status::InvalidArgument(
-        StrCat("expected ", view.num_relations(), " operands, got ",
-               operands.size()));
-  }
-  const size_t n = operands.size();
-  const size_t width = view.combined_schema().size();
-  const std::vector<ViewDefinition::EquiEdge>& edges = view.equi_edges();
-
-  // Greedy join order over the equi-edge graph: start from the smallest
-  // operand (a bound delta tuple is a singleton, so delta terms start from
-  // the update), then repeatedly join the smallest operand reachable through
-  // an equality edge; a cross product is taken only when no remaining
-  // operand is connected. This replaces the fixed left-to-right order.
-  constexpr size_t kNone = std::numeric_limits<size_t>::max();
-  std::vector<bool> joined(n, false);
-  // pos_of[c] = column of the accumulated relation holding combined column
-  // c, or kNone if c's operand has not joined yet.
-  std::vector<size_t> pos_of(width, kNone);
-
-  size_t start = 0;
-  for (size_t p = 1; p < n; ++p) {
-    if (operands[p].NumDistinct() < operands[start].NumDistinct()) {
-      start = p;
-    }
-  }
-  Relation acc = operands[start];  // shares storage until mutated
-  joined[start] = true;
-  for (size_t a = 0; a < view.relations()[start].schema.size(); ++a) {
-    pos_of[view.relation_offset(start) + a] = a;
-  }
-
-  for (size_t step = 1; step < n; ++step) {
-    size_t best = kNone;
-    bool best_connected = false;
-    for (size_t p = 0; p < n; ++p) {
-      if (joined[p]) {
-        continue;
-      }
-      const size_t offset = view.relation_offset(p);
-      const size_t arity = view.relations()[p].schema.size();
-      bool connected = false;
-      for (const ViewDefinition::EquiEdge& e : edges) {
-        const bool l_in_p = e.left_column >= offset &&
-                            e.left_column < offset + arity;
-        const bool r_in_p = e.right_column >= offset &&
-                            e.right_column < offset + arity;
-        if ((l_in_p && pos_of[e.right_column] != kNone) ||
-            (r_in_p && pos_of[e.left_column] != kNone)) {
-          connected = true;
-          break;
-        }
-      }
-      if (best == kNone || connected > best_connected ||
-          (connected == best_connected &&
-           operands[p].NumDistinct() < operands[best].NumDistinct())) {
-        best = p;
-        best_connected = connected;
-      }
-    }
-
-    const size_t offset = view.relation_offset(best);
-    const size_t arity = view.relations()[best].schema.size();
-    std::vector<size_t> acc_keys;
-    std::vector<size_t> op_keys;
-    for (const ViewDefinition::EquiEdge& e : edges) {
-      for (const auto& [a, b] : {std::pair<size_t, size_t>{e.left_column,
-                                                           e.right_column},
-                                 std::pair<size_t, size_t>{e.right_column,
-                                                           e.left_column}}) {
-        if (b >= offset && b < offset + arity && pos_of[a] != kNone) {
-          acc_keys.push_back(pos_of[a]);
-          op_keys.push_back(b - offset);
-        }
-      }
-    }
-
-    const size_t acc_width = acc.schema().size();
-    WVM_ASSIGN_OR_RETURN(acc,
-                         JoinStep(acc, acc_keys, operands[best], op_keys));
-    joined[best] = true;
-    for (size_t a = 0; a < arity; ++a) {
-      pos_of[offset + a] = acc_width + a;
-    }
-  }
-
-  // Every spanning equi-edge was enforced by a hash join above, so only the
-  // view's residual condition (intra-operand equalities and non-equi
-  // conjuncts) remains. Rather than gathering the accumulated relation back
-  // into combined column order — a full-width copy — the residual is
-  // re-bound against the join-order schema (same qualified names, permuted
-  // columns) and the final projection is composed through pos_of, so the
-  // wide intermediate is never materialized.
-  Relation filtered;
-  if (view.residual_bound_cond().IsTrue()) {
-    filtered = std::move(acc);
-  } else {
-    WVM_ASSIGN_OR_RETURN(BoundPredicate residual,
-                         view.residual_cond().Bind(acc.schema()));
-    filtered = SelectBound(acc, residual);
-  }
-  std::vector<size_t> composed(view.projection_indices().size());
-  for (size_t k = 0; k < composed.size(); ++k) {
-    composed[k] = pos_of[view.projection_indices()[k]];
-  }
-  return ProjectIndices(filtered, composed);
-}
-
 Result<Relation> EvaluateTerm(const Term& term, const Catalog& catalog) {
-  if (CompiledPlansEnabled()) {
-    return EvaluateTermCompiled(term, catalog);
-  }
-  return EvaluateTermInterpreted(term, catalog);
-}
-
-Result<Relation> EvaluateTermCompiled(const Term& term,
-                                      const Catalog& catalog) {
-  const ViewDefinition& view = *term.view();
-  if (view.num_relations() > 64) {
-    return EvaluateTermInterpreted(term, catalog);
-  }
-  Result<std::shared_ptr<const CompiledDeltaPlan>> plan =
-      view.CompiledPlanFor(TermBoundMask(term));
-  if (!plan.ok()) {
-    // A shape that fails to compile is not an evaluation error; the
-    // interpreted path answers it (or reports the real problem).
-    return EvaluateTermInterpreted(term, catalog);
-  }
-  return ExecuteCompiledPlan(**plan, term, catalog);
-}
-
-Result<Relation> EvaluateTermInterpreted(const Term& term,
-                                         const Catalog& catalog) {
-  const ViewDefinition& view = *term.view();
-
-  std::vector<Relation> operands;
-  operands.reserve(view.num_relations());
-  for (size_t i = 0; i < view.num_relations(); ++i) {
-    WVM_ASSIGN_OR_RETURN(Relation op, MaterializeOperand(term, i, catalog));
-    operands.push_back(std::move(op));
-  }
-  WVM_ASSIGN_OR_RETURN(Relation projected,
-                       JoinMaterializedOperands(view, operands));
-  return projected.Scaled(term.coefficient());
+  WVM_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledDeltaPlan> plan,
+                       term.view()->CompiledPlanFor(TermBoundMask(term)));
+  return ExecuteCompiledPlan(*plan, term, catalog);
 }
 
 Result<Relation> EvaluateTermNaive(const Term& term, const Catalog& catalog) {

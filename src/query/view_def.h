@@ -30,10 +30,15 @@ class CompiledDeltaPlan;
 /// Immutable after construction; shared by queries derived from it.
 class ViewDefinition {
  public:
+  /// The most base relations a view may join: compiled plans key their
+  /// cache on a 64-bit mask with one bit per relation position.
+  static constexpr size_t kMaxRelations = 64;
+
   /// Builds and validates a view. `projection` and `cond` are resolved
   /// against the combined schema. Key metadata is derived from the schemas'
   /// `is_key` flags (SchemaConstraints::FromSchemas); foreign keys cannot be
-  /// expressed this way — use the overload below to declare them.
+  /// expressed this way — use the overload below to declare them. Fails
+  /// with InvalidArgument for more than kMaxRelations relations.
   static Result<std::shared_ptr<const ViewDefinition>> Create(
       std::string name, std::vector<BaseRelationDef> relations,
       std::vector<std::string> projection, Predicate cond);
@@ -90,9 +95,6 @@ class ViewDefinition {
   /// apply this residual to the joined result; evaluators that join by
   /// plain cross product (e.g. EvaluateTermNaive) must use bound_cond().
   const Predicate& residual_cond() const { return residual_cond_; }
-  const BoundPredicate& residual_bound_cond() const {
-    return residual_bound_cond_;
-  }
 
   /// The view's declared (or schema-derived) key and foreign-key metadata.
   const SchemaConstraints& constraints() const { return *constraints_; }
@@ -135,15 +137,6 @@ class ViewDefinition {
   Result<std::shared_ptr<const CompiledDeltaPlan>> CompiledPlanFor(
       uint64_t bound_mask) const;
 
-  /// Drops all cached plans and bumps the epoch. Must be called if anything
-  /// a plan depends on changes shape (in this codebase views are immutable,
-  /// so this exists for catalogs that re-register a view under new schemas).
-  void InvalidateCompiledPlans() const;
-
-  /// Incremented by InvalidateCompiledPlans; lets tests and catalogs detect
-  /// staleness of plans obtained earlier.
-  uint64_t compiled_plan_epoch() const;
-
   /// True when a plan for `bound_mask` is already cached (no compilation is
   /// triggered). Lets tests and the multi-view pre-warm verify coverage.
   bool HasCompiledPlanFor(uint64_t bound_mask) const;
@@ -171,7 +164,6 @@ class ViewDefinition {
   Predicate cond_;
   BoundPredicate bound_cond_;
   Predicate residual_cond_;
-  BoundPredicate residual_bound_cond_;
   std::shared_ptr<const SchemaConstraints> constraints_;
   bool keys_projected_ = false;
   std::vector<EquiEdge> equi_edges_;
@@ -183,7 +175,6 @@ class ViewDefinition {
   mutable std::mutex plan_mu_;
   mutable std::map<uint64_t, std::shared_ptr<const CompiledDeltaPlan>>
       plan_cache_;
-  mutable uint64_t plan_epoch_ = 0;
 };
 
 using ViewDefinitionPtr = std::shared_ptr<const ViewDefinition>;

@@ -24,7 +24,7 @@ const char* CompareOpSymbol(CompareOp op);
 
 /// Evaluates `lhs op rhs` with exactly the semantics of a bound predicate's
 /// comparison leaf. Exposed so compiled plans' fused residual conjuncts are
-/// semantically identical to the interpreted predicate walk by construction.
+/// semantically identical to the BoundPredicate walk by construction.
 bool EvalCompareOp(const Value& lhs, CompareOp op, const Value& rhs);
 
 /// One side of a comparison: either a named attribute or a constant.

@@ -24,8 +24,9 @@ Result<std::unique_ptr<Replica>> Replica::Create(int id, Algorithm algorithm,
   if (checkpoint_every < 0) {
     return Status::InvalidArgument("checkpoint_every must be >= 0");
   }
-  WVM_ASSIGN_OR_RETURN(std::unique_ptr<ViewMaintainer> maintainer,
-                       MakeMaintainer(algorithm, std::move(view)));
+  WVM_ASSIGN_OR_RETURN(
+      std::unique_ptr<ViewMaintainer> maintainer,
+      MakeMaintainer({.algorithm = algorithm}, std::move(view)));
   auto replica =
       std::unique_ptr<Replica>(new Replica(id, checkpoint_every));
   replica->warehouse_ = std::make_unique<Warehouse>(

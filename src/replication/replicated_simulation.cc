@@ -65,7 +65,7 @@ Result<std::unique_ptr<ReplicatedSimulation>> ReplicatedSimulation::Create(
       std::unique_ptr<ReplicatedSimulation>(new ReplicatedSimulation(resolved));
 
   WVM_ASSIGN_OR_RETURN(std::unique_ptr<ViewMaintainer> lead_maintainer,
-                       MakeMaintainer(algorithm, view));
+                       MakeMaintainer({.algorithm = algorithm}, view));
   WVM_ASSIGN_OR_RETURN(
       rep->lead_, Simulation::Create(initial, view, std::move(lead_maintainer),
                                      sim_options));

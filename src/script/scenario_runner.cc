@@ -20,7 +20,9 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
   } else {
     WVM_ASSIGN_OR_RETURN(
         maintainer,
-        MakeMaintainer(spec.algorithm, spec.view, spec.rv_period));
+        MakeMaintainer(
+            {.algorithm = spec.algorithm, .rv_period = spec.rv_period},
+            spec.view));
   }
   WVM_ASSIGN_OR_RETURN(
       std::unique_ptr<Simulation> sim,

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "query/compiled_plan.h"
 
 namespace wvm {
 
@@ -42,10 +41,6 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
     return Status::InvalidArgument(
         "fault_up must agree with fault on enabled and reliable");
   }
-  // The toggle is process-global (the evaluator has no per-call context);
-  // simulations select their path at creation, which also covers every
-  // evaluation the ctor itself performs (initial view materialization).
-  SetCompiledPlansEnabled(options.engine.compiled_plans);
   auto sim = std::unique_ptr<Simulation>(new Simulation(view, options));
   if (options.composite_view != nullptr) {
     sim->source_view_ = options.composite_view;

@@ -129,7 +129,7 @@ Result<ThreadedRunReport> RunThreaded(const Catalog& initial,
   PhysicalConfig config;
   WVM_ASSIGN_OR_RETURN(Source source, Source::Create(initial, config, {}));
   WVM_ASSIGN_OR_RETURN(std::unique_ptr<ViewMaintainer> maintainer,
-                       MakeMaintainer(algorithm, view));
+                       MakeMaintainer({.algorithm = algorithm}, view));
   WVM_RETURN_IF_ERROR(maintainer->Initialize(initial));
 
   SyncChannel<SourceMessage> to_warehouse;

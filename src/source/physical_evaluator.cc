@@ -50,21 +50,14 @@ Result<const StoredRelation*> FindStored(const StorageMap& storage,
   return &it->second;
 }
 
-// In-memory join of fully materialized operands. All page I/O was already
-// charged while the operands were read, so swapping the join machinery
-// cannot change a single counter: with compiled plans on, the view's cached
-// mask-0 plan runs through the columnar executor; otherwise (or if the view
-// does not compile) the interpreted per-call planner runs.
+// In-memory join of fully materialized operands through the view's cached
+// mask-0 plan. All page I/O was already charged while the operands were
+// read, so the join itself changes no counter.
 Result<Relation> JoinOperandsPlanned(const ViewDefinition& view,
                                      const std::vector<Relation>& operands) {
-  if (CompiledPlansEnabled() && view.num_relations() <= 64) {
-    Result<std::shared_ptr<const CompiledDeltaPlan>> plan =
-        view.CompiledPlanFor(0);
-    if (plan.ok()) {
-      return ExecuteCompiledPlanOnOperands(**plan, operands);
-    }
-  }
-  return JoinMaterializedOperands(view, operands);
+  WVM_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledDeltaPlan> plan,
+                       view.CompiledPlanFor(0));
+  return ExecuteCompiledPlanOnOperands(*plan, operands);
 }
 
 // All equi-edges connecting current frontier columns to columns of

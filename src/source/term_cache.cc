@@ -147,36 +147,28 @@ Status TermCache::ApplyUpdate(const Update& u, const StorageMap& storage,
         Demote(signature, &entry, io);
       } else {
         // Pinned view: always maintained, via its compiled delta plan when
-        // available. The compiled executor reads the logical catalog (and
-        // its cached key indexes), not the blocked store, so the planner
-        // estimate stands in as its charged maintenance I/O.
-        bool patched = false;
-        if (catalog != nullptr && CompiledPlansEnabled()) {
-          Result<std::shared_ptr<const CompiledDeltaPlan>> plan =
-              delta->view()->CompiledPlanFor(TermBoundMask(*delta));
-          if (plan.ok()) {
-            Result<Relation> d = ExecuteCompiledPlan(**plan, *delta, *catalog);
-            if (d.ok()) {
-              entry.core.Add(*d);
-              const int64_t charged =
-                  static_cast<int64_t>(std::ceil(patch_estimate));
-              ++io->term_cache_patches;
-              io->term_cache_patch_reads += charged;
-              entry.lifetime_patch_reads += charged;
-              patched = true;
-            }
-          }
-        }
-        if (!patched) {
+        // a catalog is given. The compiled executor reads the logical
+        // catalog (and its cached key indexes), not the blocked store, so
+        // the planner estimate stands in as its charged maintenance I/O.
+        Relation d;
+        int64_t charged = 0;
+        if (catalog != nullptr) {
+          WVM_ASSIGN_OR_RETURN(
+              std::shared_ptr<const CompiledDeltaPlan> plan,
+              delta->view()->CompiledPlanFor(TermBoundMask(*delta)));
+          WVM_ASSIGN_OR_RETURN(d, ExecuteCompiledPlan(*plan, *delta, *catalog));
+          charged = static_cast<int64_t>(std::ceil(patch_estimate));
+        } else {
           IOStats patch_io;
           WVM_ASSIGN_OR_RETURN(
-              Relation d, EvaluateTermPhysical(*delta, storage, config,
-                                               &patch_io, /*cache=*/nullptr));
-          entry.core.Add(d);
-          ++io->term_cache_patches;
-          io->term_cache_patch_reads += patch_io.page_reads;
-          entry.lifetime_patch_reads += patch_io.page_reads;
+              d, EvaluateTermPhysical(*delta, storage, config, &patch_io,
+                                      /*cache=*/nullptr));
+          charged = patch_io.page_reads;
         }
+        entry.core.Add(d);
+        ++io->term_cache_patches;
+        io->term_cache_patch_reads += charged;
+        entry.lifetime_patch_reads += charged;
         ++entry.updates_since_hit;
         // The aux catalog's relation mirrors the entry's current answer.
         Result<Relation*> aux = aux_catalog_.GetMutable(entry.aux_name);

@@ -107,7 +107,8 @@ TEST(FactoryTest, EveryAlgorithmConstructsAndRoundTripsItsName) {
       {{"r1", Schema::Ints({"W", "X"})}, {"r2", Schema::Ints({"X", "Y"})}},
       {"W"});
   for (Algorithm a : AllAlgorithms()) {
-    Result<std::unique_ptr<ViewMaintainer>> m = MakeMaintainer(a, view);
+    Result<std::unique_ptr<ViewMaintainer>> m =
+        MakeMaintainer({.algorithm = a}, view);
     ASSERT_TRUE(m.ok()) << AlgorithmName(a);
     Result<Algorithm> parsed = ParseAlgorithm(AlgorithmName(a));
     ASSERT_TRUE(parsed.ok()) << AlgorithmName(a);
@@ -121,7 +122,7 @@ TEST(FactoryTest, RvPeriodIsWiredThrough) {
   ViewDefinitionPtr view = *ViewDefinition::NaturalJoin(
       "V", {{"r1", Schema::Ints({"W"})}}, {"W"});
   Result<std::unique_ptr<ViewMaintainer>> m =
-      MakeMaintainer(Algorithm::kRv, view, 7);
+      MakeMaintainer({.algorithm = Algorithm::kRv, .rv_period = 7}, view);
   ASSERT_TRUE(m.ok());
   EXPECT_NE((*m)->name().find("s=7"), std::string::npos);
 }

@@ -373,7 +373,7 @@ TEST(CrashRecoveryTest, RecoveryWithoutReliableTransportIsRejected) {
   Result<Workload> w = MakeExample6Workload({8, 2}, &rng);
   ASSERT_TRUE(w.ok()) << w.status();
   Result<std::unique_ptr<ViewMaintainer>> maintainer =
-      MakeMaintainer(Algorithm::kEca, w->view, 1);
+      MakeMaintainer({.algorithm = Algorithm::kEca}, w->view);
   ASSERT_TRUE(maintainer.ok());
   SimulationOptions options;
   options.recovery.enabled = true;  // but fault/reliable off
@@ -746,7 +746,7 @@ TEST(FileBackedCrashMatrixTest, GuardRails) {
   // kFile without recovery makes no sense: there is nothing to journal.
   {
     Result<std::unique_ptr<ViewMaintainer>> m =
-        MakeMaintainer(Algorithm::kEca, w->view, 1);
+        MakeMaintainer({.algorithm = Algorithm::kEca}, w->view);
     ASSERT_TRUE(m.ok());
     SimulationOptions options;
     options.fault = ReliableTransport(1, false);
@@ -761,7 +761,7 @@ TEST(FileBackedCrashMatrixTest, GuardRails) {
   // sequence-number bookkeeping on one side only.
   {
     Result<std::unique_ptr<ViewMaintainer>> m =
-        MakeMaintainer(Algorithm::kEca, w->view, 1);
+        MakeMaintainer({.algorithm = Algorithm::kEca}, w->view);
     ASSERT_TRUE(m.ok());
     SimulationOptions options;
     options.fault = ReliableTransport(1, false);

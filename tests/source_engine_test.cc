@@ -15,7 +15,6 @@
 #include "common/thread_pool.h"
 #include "core/eca.h"
 #include "core/multi_view.h"
-#include "query/compiled_plan.h"
 #include "source/source.h"
 #include "source/term_cache.h"
 #include "test_util.h"
@@ -373,7 +372,6 @@ TEST(AuxViewTest, PromotedEntriesArePinnedAgainstLruPressure) {
 }
 
 TEST(AuxViewTest, ColdPromotedEntryDemotesAndUnregisters) {
-  ScopedCompiledPlans plans(true);
   AuxFixture f = AuxFixture::Make(PromoteOn());
   AuxFixture plain = AuxFixture::Make(SourceConfig());
   const Update u = Update::Insert("r1", Tuple::Ints({50, 1}));
@@ -411,7 +409,6 @@ TEST(AuxViewTest, PromotedAnswersMatchPlainSourceUnderChurn) {
   // Differential under interleaved updates and cross-view queries: the
   // promoted entry is maintained by compiled delta plans, and every answer
   // must match the no-caching source bit for bit.
-  ScopedCompiledPlans plans(true);
   SourceConfig config = PromoteOn();
   config.term_cache.demote_after_updates = 64;  // keep it promoted
   AuxFixture on = AuxFixture::Make(config);

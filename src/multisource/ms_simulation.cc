@@ -1,9 +1,5 @@
 #include "multisource/ms_simulation.h"
 
-#include <stdlib.h>
-
-#include <deque>
-#include <filesystem>
 #include <utility>
 
 #include "common/byte_io.h"
@@ -52,20 +48,7 @@ class MsSimulation::Context : public MsContext {
   uint64_t next_query_id_ = 1;
 };
 
-MsSimulation::~MsSimulation() {
-  if (!owns_wal_dir_) {
-    return;
-  }
-  // Close the WAL writers first (their destructors flush and release the
-  // fds), then take the temp directory with them.
-  wh_in_.clear();
-  wh_out_.clear();
-  src_in_.clear();
-  src_out_.clear();
-  consumed_order_.reset();
-  std::error_code ec;
-  std::filesystem::remove_all(wal_dir_, ec);  // best-effort cleanup
-}
+MsSimulation::~MsSimulation() = default;
 
 Result<std::unique_ptr<MsSimulation>> MsSimulation::Create(
     std::vector<Catalog> per_source, ViewDefinitionPtr view,
@@ -80,15 +63,11 @@ Result<std::unique_ptr<MsSimulation>> MsSimulation::Create(
     return Status::InvalidArgument(
         "fault_up must agree with fault on enabled and reliable");
   }
-  if (options.recovery.enabled &&
-      (!options.fault.enabled || !options.fault.reliable)) {
+  WVM_RETURN_IF_ERROR(options.recovery.Validate(options.fault));
+  if (options.recovery.checkpoint_every != 0) {
     return Status::InvalidArgument(
-        "multi-source recovery requires the reliable transport mode");
-  }
-  if (options.recovery.backend == JournalBackend::kFile &&
-      !options.recovery.enabled) {
-    return Status::InvalidArgument(
-        "the file journal backend requires recovery to be enabled");
+        "multi-source recovery is genesis replay and takes no checkpoints; "
+        "checkpoint_every must be 0");
   }
   auto sim = std::unique_ptr<MsSimulation>(new MsSimulation());
   sim->view_ = std::move(view);
@@ -100,23 +79,11 @@ Result<std::unique_ptr<MsSimulation>> MsSimulation::Create(
   sim->scripts_.resize(n);
   sim->cursors_.assign(n, 0);
   sim->source_up_.assign(n, 1);
-  sim->wh_consumed_.assign(n, 0);
-  sim->src_consumed_.assign(n, 0);
 
   if (options.recovery.enabled) {
     for (size_t s = 0; s < n; ++s) {
-      sim->wh_in_.emplace_back([](const MsSourceMessage& m) {
-        return EncodeMsSourceMessage(m);
-      });
-      sim->wh_out_.emplace_back([](const FragmentRequest& r) {
-        return EncodeFragmentRequest(r);
-      });
-      sim->src_in_.emplace_back([](const FragmentRequest& r) {
-        return EncodeFragmentRequest(r);
-      });
-      sim->src_out_.emplace_back([](const MsSourceMessage& m) {
-        return EncodeMsSourceMessage(m);
-      });
+      sim->wh_logs_.emplace_back(EncodeMsSourceMessage, EncodeFragmentRequest);
+      sim->src_logs_.emplace_back(EncodeFragmentRequest, EncodeMsSourceMessage);
     }
     sim->consumed_order_.emplace([](const uint64_t& source) {
       std::string out;
@@ -124,7 +91,19 @@ Result<std::unique_ptr<MsSimulation>> MsSimulation::Create(
       return out;
     });
     if (options.recovery.backend == JournalBackend::kFile) {
-      WVM_RETURN_IF_ERROR(sim->AttachWals());
+      // Every journal spills to on-disk segments before any traffic can
+      // journal a record (AttachWal refuses otherwise).
+      const WalOptions& tuning = options.recovery.wal;
+      WalDirectory& dir = sim->wal_dir_;
+      WVM_RETURN_IF_ERROR(dir.Open(options.recovery.wal_dir));
+      for (size_t s = 0; s < n; ++s) {
+        WVM_RETURN_IF_ERROR(
+            sim->wh_logs_[s].AttachWals(dir, tuning, StrCat("wh-", s)));
+        WVM_RETURN_IF_ERROR(
+            sim->src_logs_[s].AttachWals(dir, tuning, StrCat("src-", s)));
+      }
+      WVM_RETURN_IF_ERROR(
+          sim->consumed_order_->AttachWal(dir.Options(tuning, "consumed")));
     }
   }
 
@@ -138,27 +117,10 @@ Result<std::unique_ptr<MsSimulation>> MsSimulation::Create(
     TransportHooks<MsSourceMessage> down_hooks;
     TransportHooks<FragmentRequest> up_hooks;
     if (options.recovery.enabled) {
-      // Write-ahead journaling keyed by the protocol's sequence numbers,
-      // exactly as in the single-source site logs: sends at the
-      // originating site before the wire, deliveries at the receiving
-      // site before the covering ack ("acked => journaled").
-      down_hooks.on_send = [raw, s](uint64_t seq, const MsSourceMessage& m) {
-        WVM_REQUIRE(raw->src_out_[s].Append(seq, m).ok(),
-                    "source outbound journal append failed");
-      };
-      down_hooks.on_deliver = [raw, s](uint64_t seq,
-                                       const MsSourceMessage& m) {
-        WVM_REQUIRE(raw->wh_in_[s].Append(seq, m).ok(),
-                    "warehouse inbound journal append failed");
-      };
-      up_hooks.on_send = [raw, s](uint64_t seq, const FragmentRequest& r) {
-        WVM_REQUIRE(raw->wh_out_[s].Append(seq, r).ok(),
-                    "warehouse outbound journal append failed");
-      };
-      up_hooks.on_deliver = [raw, s](uint64_t seq, const FragmentRequest& r) {
-        WVM_REQUIRE(raw->src_in_[s].Append(seq, r).ok(),
-                    "source inbound journal append failed");
-      };
+      JournalDirection(&raw->src_logs_[s].outbound, &raw->wh_logs_[s].inbound,
+                       &down_hooks);
+      JournalDirection(&raw->wh_logs_[s].outbound, &raw->src_logs_[s].inbound,
+                       &up_hooks);
     }
     sim->to_warehouse_.push_back(
         std::make_unique<TransportChannel<MsSourceMessage>>());
@@ -196,61 +158,30 @@ Result<std::unique_ptr<MsSimulation>> MsSimulation::Create(
   return sim;
 }
 
-Status MsSimulation::AttachWals() {
-  namespace fs = std::filesystem;
-  if (options_.recovery.wal_dir.empty()) {
-    std::error_code ec;
-    const fs::path base = fs::temp_directory_path(ec);
-    if (ec) {
-      return Status::Internal("no temp directory for WAL segments: " +
-                              ec.message());
-    }
-    std::string tmpl = (base / "wvm-ms-wal-XXXXXX").string();
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) {
-      return Status::Internal("mkdtemp failed for the WAL directory");
-    }
-    wal_dir_ = buf.data();
-    owns_wal_dir_ = true;
-  } else {
-    wal_dir_ = options_.recovery.wal_dir;
+Status MsSimulation::CheckSource(size_t source) const {
+  if (source >= sources_.size()) {
+    return Status::OutOfRange("no such source");
   }
-  const auto wal_options = [this](const std::string& name) {
-    WalOptions o = options_.recovery.wal;
-    o.dir = wal_dir_;
-    o.name = name;
-    return o;
-  };
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    const std::string suffix = std::to_string(s);
-    WVM_RETURN_IF_ERROR(wh_in_[s].AttachWal(wal_options("wh-in-" + suffix)));
-    WVM_RETURN_IF_ERROR(wh_out_[s].AttachWal(wal_options("wh-out-" + suffix)));
-    WVM_RETURN_IF_ERROR(src_in_[s].AttachWal(wal_options("src-in-" + suffix)));
-    WVM_RETURN_IF_ERROR(
-        src_out_[s].AttachWal(wal_options("src-out-" + suffix)));
-  }
-  return consumed_order_->AttachWal(wal_options("consumed"));
+  return Status::OK();
 }
 
 Status MsSimulation::SetUpdateScript(size_t source,
                                      std::vector<Update> script) {
-  if (source >= sources_.size()) {
-    return Status::OutOfRange("no such source");
-  }
+  WVM_RETURN_IF_ERROR(CheckSource(source));
   scripts_[source] = std::move(script);
   cursors_[source] = 0;
   return Status::OK();
 }
 
 bool MsSimulation::CanSourceUpdate(size_t s) const {
-  return source_up_[s] != 0 && cursors_[s] < scripts_[s].size();
+  return source_up(s) && cursors_[s] < scripts_[s].size();
 }
 bool MsSimulation::CanSourceAnswer(size_t s) const {
-  return source_up_[s] != 0 && to_source_[s]->HasMessage();
+  return source_up(s) && to_source_[s]->HasMessage();
 }
 bool MsSimulation::CanWarehouseStep(size_t s) const {
-  return warehouse_up_ && to_warehouse_[s]->HasMessage();
+  return warehouse_up_ && s < sources_.size() &&
+         to_warehouse_[s]->HasMessage();
 }
 bool MsSimulation::CanTransportTick() const {
   // The wires are not part of any site: transport time passes even while
@@ -277,10 +208,11 @@ bool MsSimulation::Quiescent() const {
 }
 
 Status MsSimulation::StepSourceUpdate(size_t s) {
+  WVM_RETURN_IF_ERROR(CheckSource(s));
   if (!CanSourceUpdate(s)) {
     return Status::FailedPrecondition(
-        source_up_[s] != 0 ? "no scripted updates at this source"
-                           : "source is down");
+        source_up(s) ? "no scripted updates at this source"
+                     : "source is down");
   }
   ++event_seq_;
   Update u = scripts_[s][cursors_[s]++];
@@ -294,10 +226,10 @@ Status MsSimulation::StepSourceUpdate(size_t s) {
 }
 
 Status MsSimulation::StepSourceAnswer(size_t s) {
+  WVM_RETURN_IF_ERROR(CheckSource(s));
   if (!CanSourceAnswer(s)) {
     return Status::FailedPrecondition(
-        source_up_[s] != 0 ? "no pending fragment requests"
-                           : "source is down");
+        source_up(s) ? "no pending fragment requests" : "source is down");
   }
   ++event_seq_;
   FragmentRequest request = to_source_[s]->Receive();
@@ -310,12 +242,13 @@ Status MsSimulation::StepSourceAnswer(size_t s) {
   fragment_tuples_ += answer.TupleCount();
   to_warehouse_[s]->Send(std::move(answer));
   if (options_.recovery.enabled) {
-    ++src_consumed_[s];
+    ++src_logs_[s].consumed;
   }
   return Status::OK();
 }
 
 Status MsSimulation::StepWarehouse(size_t s) {
+  WVM_RETURN_IF_ERROR(CheckSource(s));
   if (!CanWarehouseStep(s)) {
     return Status::FailedPrecondition(
         warehouse_up_ ? "no messages from this source" : "warehouse is down");
@@ -325,9 +258,8 @@ Status MsSimulation::StepWarehouse(size_t s) {
   if (options_.recovery.enabled) {
     // Log the consumption order BEFORE applying: replay needs the
     // cross-source interleaving to reissue the same query ids.
-    WVM_RETURN_IF_ERROR(consumed_order_->Append(total_consumed_, s));
-    ++total_consumed_;
-    ++wh_consumed_[s];
+    WVM_RETURN_IF_ERROR(consumed_order_->Append(consumed_order_->end_lsn(), s));
+    ++wh_logs_[s].consumed;
   }
   if (const auto* up = std::get_if<UpdateNotification>(&m)) {
     WVM_RETURN_IF_ERROR(
@@ -370,7 +302,7 @@ bool MsSimulation::CanCrashWarehouse() const {
 
 bool MsSimulation::CanCrashSource(size_t s) const {
   return options_.fault.enabled && options_.fault.reliable &&
-         options_.recovery.enabled && source_up_[s] != 0;
+         options_.recovery.enabled && source_up(s);
 }
 
 Status MsSimulation::CrashWarehouse() {
@@ -408,11 +340,11 @@ Status MsSimulation::RestartWarehouse() {
   std::vector<uint64_t> replay_pos(sources_.size(), 0);
   replaying_ = true;
   Status replay = consumed_order_->Scan(
-      0, total_consumed_,
+      0, consumed_order_->end_lsn(),
       [this, &replay_pos](uint64_t, const uint64_t& source) -> Status {
         const size_t s = static_cast<size_t>(source);
         WVM_ASSIGN_OR_RETURN(const MsSourceMessage* m,
-                             wh_in_[s].Read(replay_pos[s]));
+                             wh_logs_[s].inbound.Read(replay_pos[s]));
         ++replay_pos[s];
         if (const auto* up = std::get_if<UpdateNotification>(m)) {
           return maintainer_->OnUpdate(s, up->update, context_.get());
@@ -423,31 +355,10 @@ Status MsSimulation::RestartWarehouse() {
   replaying_ = false;
   WVM_RETURN_IF_ERROR(replay);
   for (size_t s = 0; s < sources_.size(); ++s) {
-    WVM_REQUIRE(replay_pos[s] == wh_consumed_[s],
+    WVM_REQUIRE(replay_pos[s] == wh_logs_[s].consumed,
                 "consumption journal disagrees with per-source floors");
-    // Delivered-but-unconsumed frames were journaled (acked => journaled):
-    // re-enqueue them and restart the receiver at the journal's high-water
-    // mark.
-    std::deque<MsSourceMessage> tail;
-    WVM_RETURN_IF_ERROR(wh_in_[s].Scan(
-        wh_consumed_[s], wh_in_[s].end_lsn(),
-        [&tail](uint64_t, const MsSourceMessage& m) {
-          tail.push_back(m);
-          return Status::OK();
-        }));
-    to_warehouse_[s]->RestartReceiver(wh_in_[s].end_lsn(), std::move(tail));
-    // Conservatively re-install every retained outbound record as the
-    // unacked window: retransmission repairs in-flight loss, the source's
-    // dedup absorbs duplicates, and its next cumulative ack prunes the
-    // excess.
-    std::map<uint64_t, FragmentRequest> unacked;
-    WVM_RETURN_IF_ERROR(wh_out_[s].Scan(
-        wh_out_[s].begin_lsn(), wh_out_[s].end_lsn(),
-        [&unacked](uint64_t lsn, const FragmentRequest& r) {
-          unacked.emplace(lsn, r);
-          return Status::OK();
-        }));
-    to_source_[s]->RestartSender(wh_out_[s].end_lsn(), std::move(unacked));
+    WVM_RETURN_IF_ERROR(wh_logs_[s].RestartReceiver(*to_warehouse_[s]));
+    WVM_RETURN_IF_ERROR(wh_logs_[s].RestartSender(*to_source_[s]));
   }
   warehouse_up_ = true;
   return Status::OK();
@@ -455,9 +366,7 @@ Status MsSimulation::RestartWarehouse() {
 
 Status MsSimulation::CrashSource(size_t s) {
   WVM_RETURN_IF_ERROR(CheckCrashSupported());
-  if (s >= sources_.size()) {
-    return Status::OutOfRange("no such source");
-  }
+  WVM_RETURN_IF_ERROR(CheckSource(s));
   if (source_up_[s] == 0) {
     return Status::FailedPrecondition("source is already down");
   }
@@ -473,29 +382,13 @@ Status MsSimulation::CrashSource(size_t s) {
 
 Status MsSimulation::RestartSource(size_t s) {
   WVM_RETURN_IF_ERROR(CheckCrashSupported());
-  if (s >= sources_.size()) {
-    return Status::OutOfRange("no such source");
-  }
+  WVM_RETURN_IF_ERROR(CheckSource(s));
   if (source_up_[s] != 0) {
     return Status::FailedPrecondition("source is not down");
   }
   ++event_seq_;
-  std::deque<FragmentRequest> tail;
-  WVM_RETURN_IF_ERROR(src_in_[s].Scan(
-      src_consumed_[s], src_in_[s].end_lsn(),
-      [&tail](uint64_t, const FragmentRequest& r) {
-        tail.push_back(r);
-        return Status::OK();
-      }));
-  to_source_[s]->RestartReceiver(src_in_[s].end_lsn(), std::move(tail));
-  std::map<uint64_t, MsSourceMessage> unacked;
-  WVM_RETURN_IF_ERROR(src_out_[s].Scan(
-      src_out_[s].begin_lsn(), src_out_[s].end_lsn(),
-      [&unacked](uint64_t lsn, const MsSourceMessage& m) {
-        unacked.emplace(lsn, m);
-        return Status::OK();
-      }));
-  to_warehouse_[s]->RestartSender(src_out_[s].end_lsn(), std::move(unacked));
+  WVM_RETURN_IF_ERROR(src_logs_[s].RestartReceiver(*to_source_[s]));
+  WVM_RETURN_IF_ERROR(src_logs_[s].RestartSender(*to_warehouse_[s]));
   source_up_[s] = 1;
   return Status::OK();
 }
@@ -593,28 +486,12 @@ TransportStats MsSimulation::transport_stats() const {
 
 WalStats MsSimulation::wal_stats() const {
   WalStats total;
-  const auto add = [&total](const WalStats* s) {
-    if (s == nullptr) {
-      return;
-    }
-    total.appends += s->appends;
-    total.appended_bytes += s->appended_bytes;
-    total.flushes += s->flushes;
-    total.fsyncs += s->fsyncs;
-    total.segments_created += s->segments_created;
-    total.segments_dropped += s->segments_dropped;
-    total.recovered_records += s->recovered_records;
-    total.torn_records_dropped += s->torn_records_dropped;
-    total.torn_bytes_dropped += s->torn_bytes_dropped;
-  };
-  for (size_t s = 0; s < wh_in_.size(); ++s) {
-    add(wh_in_[s].wal_stats());
-    add(wh_out_[s].wal_stats());
-    add(src_in_[s].wal_stats());
-    add(src_out_[s].wal_stats());
+  for (size_t s = 0; s < wh_logs_.size(); ++s) {
+    total += wh_logs_[s].wal_stats();
+    total += src_logs_[s].wal_stats();
   }
-  if (consumed_order_.has_value()) {
-    add(consumed_order_->wal_stats());
+  if (consumed_order_.has_value() && consumed_order_->has_wal()) {
+    total += *consumed_order_->wal_stats();
   }
   return total;
 }

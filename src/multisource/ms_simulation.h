@@ -14,7 +14,7 @@
 #include "multisource/ms_message.h"
 #include "query/catalog.h"
 #include "query/view_def.h"
-#include "recovery/journal.h"
+#include "recovery/site_log.h"
 #include "transport/fault_config.h"
 #include "transport/transport_channel.h"
 
@@ -40,26 +40,6 @@ struct MsAction {
 /// change the schedule.
 int MsActionPriority(MsAction::Kind kind);
 
-/// Crash-restart recovery of the multi-source system. Unlike the
-/// single-source RecoveryOptions there is no checkpoint interval: the
-/// multi-source warehouse recovers by GENESIS REPLAY — the initial merged
-/// state is checkpoint zero, and the consumption-order journal (see below)
-/// re-executes every consumed message in the exact original cross-source
-/// order, which regenerates the same query ids and the same maintainer
-/// state. Requires the reliable transport mode.
-struct MsRecoveryOptions {
-  bool enabled = false;
-  /// Medium backing every journal (per-source inbound/outbound pairs at
-  /// both ends plus the warehouse's consumption-order journal). kFile
-  /// spills them to on-disk WAL segments; requires `enabled`.
-  JournalBackend backend = JournalBackend::kMemory;
-  /// Directory for the kFile segments; empty = fresh temp directory,
-  /// removed when the simulation dies.
-  std::string wal_dir;
-  /// Tuning for the kFile backend; `dir`/`name` are assigned per journal.
-  WalOptions wal;
-};
-
 struct MsSimulationOptions {
   /// Downlink (source -> warehouse) fault schedule, applied independently
   /// to every source's channel (per-source salts decorrelate the streams).
@@ -70,8 +50,10 @@ struct MsSimulationOptions {
   /// agree with `fault` on `enabled` and `reliable`. Unset = symmetric.
   std::optional<FaultConfig> fault_up;
   /// Crash-restart recovery: journaling plus the Crash*/Restart* methods'
-  /// recovered-restart path.
-  MsRecoveryOptions recovery;
+  /// recovered-restart path. The warehouse recovers by GENESIS REPLAY (see
+  /// MsSimulation), so `checkpoint_every` must be 0. Requires the reliable
+  /// transport mode.
+  RecoveryOptions recovery;
 };
 
 /// A warehouse integrating N autonomous sources, each with its own
@@ -88,15 +70,17 @@ struct MsSimulationOptions {
 /// checker applies unchanged — and shows which guarantees survive the
 /// multi-source generalization.
 ///
-/// Recovery model (MsRecoveryOptions): base data (the per-source catalogs
-/// and the merged mirror) lives on disk and survives any crash, as in the
-/// single-source model. The warehouse's volatile state — maintainer
-/// bookkeeping, query-id counter, endpoint buffers — is rebuilt by genesis
-/// replay over the per-source inbound journals, sequenced by a global
-/// consumption-order journal of source indices: per-source FIFO makes each
-/// journal's LSN order the per-source consumption order, and the
-/// consumption journal restores the cross-source interleaving, so replay
-/// allocates the same query ids the original run did.
+/// Recovery model (MsSimulationOptions::recovery): base data (the
+/// per-source catalogs and the merged mirror) lives on disk and survives
+/// any crash, as in the single-source model. The warehouse's volatile
+/// state — maintainer bookkeeping, query-id counter, endpoint buffers — is
+/// rebuilt by genesis replay: the initial merged state is checkpoint zero,
+/// and every consumed message is re-executed from the per-source inbound
+/// journals, sequenced by a global consumption-order journal of source
+/// indices. Per-source FIFO makes each journal's LSN order the per-source
+/// consumption order, and the consumption journal restores the
+/// cross-source interleaving, so replay allocates the same query ids the
+/// original run did.
 class MsSimulation {
  public:
   /// Each catalog holds the relations owned by one source; relation names
@@ -114,6 +98,8 @@ class MsSimulation {
 
   size_t num_sources() const { return sources_.size(); }
 
+  // A source index >= num_sources() is rejected: the Step*, Crash* and
+  // Restart* methods return OutOfRange, the Can* queries return false.
   bool CanSourceUpdate(size_t source) const;
   bool CanSourceAnswer(size_t source) const;
   bool CanWarehouseStep(size_t source) const;
@@ -137,7 +123,9 @@ class MsSimulation {
   // window (its base data never left the disk).
 
   bool warehouse_up() const { return warehouse_up_; }
-  bool source_up(size_t source) const { return source_up_[source] != 0; }
+  bool source_up(size_t source) const {
+    return source < source_up_.size() && source_up_[source] != 0;
+  }
   bool CanCrashWarehouse() const;
   bool CanCrashSource(size_t source) const;
 
@@ -172,16 +160,15 @@ class MsSimulation {
   /// the backend is kFile).
   WalStats wal_stats() const;
   /// Directory holding the WAL segments ("" for the memory backend).
-  const std::string& wal_dir() const { return wal_dir_; }
+  const std::string& wal_dir() const { return wal_dir_.path(); }
 
  private:
   class Context;
 
   MsSimulation() = default;
 
-  /// kFile backend: resolves the segment directory and attaches one WAL
-  /// per journal, before any traffic can journal a record.
-  Status AttachWals();
+  /// OutOfRange unless `source` < num_sources().
+  Status CheckSource(size_t source) const;
   Status CheckCrashSupported() const;
 
   ViewDefinitionPtr view_;
@@ -205,23 +192,22 @@ class MsSimulation {
   int64_t fragment_tuples_ = 0;
   // Durable recovery state (populated only with recovery enabled). Keyed
   // by the reliable protocol's per-channel sequence numbers, exactly as in
-  // the single-source site logs.
-  std::vector<Journal<MsSourceMessage>> wh_in_;    // warehouse site, per source
-  std::vector<Journal<FragmentRequest>> wh_out_;   // warehouse site, per source
-  std::vector<Journal<FragmentRequest>> src_in_;   // source site s
-  std::vector<Journal<MsSourceMessage>> src_out_;  // source site s
+  // the single-source site logs. The WAL directory is declared first so
+  // the journals close before it goes; the log vectors are sized once at
+  // Create, because the channels' journaling hooks hold their elements'
+  // addresses.
+  WalDirectory wal_dir_;
+  /// The warehouse site's log toward each source.
+  std::vector<SiteLog<MsSourceMessage, FragmentRequest>> wh_logs_;
+  /// Source site s's log.
+  std::vector<SiteLog<FragmentRequest, MsSourceMessage>> src_logs_;
   /// Warehouse site: source index of each consumed message, LSN = global
   /// consumption counter. This is what makes genesis replay deterministic
   /// across sources.
   std::optional<Journal<uint64_t>> consumed_order_;
-  std::vector<uint64_t> wh_consumed_;   // frames consumed per source
-  std::vector<uint64_t> src_consumed_;  // requests answered per source
-  uint64_t total_consumed_ = 0;
   bool warehouse_up_ = true;
   std::vector<uint8_t> source_up_;
   bool replaying_ = false;  // suppresses sends/metering/state records
-  std::string wal_dir_;
-  bool owns_wal_dir_ = false;
 };
 
 }  // namespace wvm

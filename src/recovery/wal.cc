@@ -1,6 +1,7 @@
 #include "recovery/wal.h"
 
 #include <fcntl.h>
+#include <stdlib.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -82,6 +83,34 @@ Status WalOptions::Validate() const {
   if (flush_appends < 1) {
     return Status::InvalidArgument("wal: flush_appends must be >= 1");
   }
+  return Status::OK();
+}
+
+WalDirectory::~WalDirectory() {
+  if (owned_) {
+    std::error_code ec;
+    fs::remove_all(path_, ec);  // best-effort cleanup
+  }
+}
+
+Status WalDirectory::Open(const std::string& dir) {
+  if (!dir.empty()) {
+    path_ = dir;
+    return Status::OK();
+  }
+  std::error_code ec;
+  const fs::path base = fs::temp_directory_path(ec);
+  if (ec) {
+    return Status::Internal("no temp directory for WAL segments: " +
+                            ec.message());
+  }
+  std::string tmpl = (base / "wvm-wal-XXXXXX").string();
+  if (::mkdtemp(tmpl.data()) == nullptr) {
+    return Status::Internal("cannot create a temp WAL directory under " +
+                            base.string() + ": " + std::strerror(errno));
+  }
+  path_ = std::move(tmpl);
+  owned_ = true;
   return Status::OK();
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -73,6 +74,52 @@ struct WalStats {
   /// Torn records dropped from the last segment's tail by Open.
   int64_t torn_records_dropped = 0;
   int64_t torn_bytes_dropped = 0;
+
+  WalStats& operator+=(const WalStats& o) {
+    appends += o.appends;
+    appended_bytes += o.appended_bytes;
+    flushes += o.flushes;
+    fsyncs += o.fsyncs;
+    segments_created += o.segments_created;
+    segments_dropped += o.segments_dropped;
+    recovered_records += o.recovered_records;
+    torn_records_dropped += o.torn_records_dropped;
+    torn_bytes_dropped += o.torn_bytes_dropped;
+    return *this;
+  }
+};
+
+/// The directory a simulation's WAL segments share (one per simulation;
+/// each journal in it has its own segment-name prefix). A caller-supplied
+/// directory is used as is and outlives the simulation; with none, Open
+/// makes a fresh temp directory, and the destructor removes it — and only
+/// a directory it made. Declare the owner before the journals writing into
+/// it: members are destroyed in reverse order, so the journals' writers
+/// flush and close their segments before the directory goes.
+class WalDirectory {
+ public:
+  WalDirectory() = default;
+  ~WalDirectory();
+  WalDirectory(const WalDirectory&) = delete;
+  WalDirectory& operator=(const WalDirectory&) = delete;
+
+  /// Uses `dir`, or a fresh `wvm-wal-XXXXXX` under the temp directory when
+  /// `dir` is empty. Call at most once.
+  Status Open(const std::string& dir);
+
+  /// The directory in use; "" until Open succeeds.
+  const std::string& path() const { return path_; }
+
+  /// `tuning` pointed at this directory under segment-name prefix `name`.
+  WalOptions Options(WalOptions tuning, std::string name) const {
+    tuning.dir = path_;
+    tuning.name = std::move(name);
+    return tuning;
+  }
+
+ private:
+  std::string path_;
+  bool owned_ = false;
 };
 
 /// One record handed back by Open's recovery scan.

@@ -47,13 +47,7 @@ std::string Replica::name() const { return StrCat("replica-", id_); }
 
 Status Replica::Apply(const SourceMessage& m) {
   WVM_RETURN_IF_ERROR(warehouse_->HandleMessage(m));
-  ++applied_lsn_;
-  ++applied_since_checkpoint_;
-  if (checkpoint_every_ > 0 &&
-      applied_since_checkpoint_ >= checkpoint_every_) {
-    return Checkpoint();
-  }
-  return Status::OK();
+  return log_.NoteConsumed(1, checkpoint_every_) ? Checkpoint() : Status::OK();
 }
 
 Status Replica::ApplyFromChannel(TransportChannel<SourceMessage>& channel) {
@@ -79,12 +73,12 @@ Result<int> Replica::CatchUpStep(const Sequencer& sequencer, int batch) {
     return Status::FailedPrecondition("replica is not catching up");
   }
   int applied = 0;
-  while (applied < batch && applied_lsn_ < sequencer.head_lsn()) {
-    const uint64_t lsn = applied_lsn_;
-    if (lsn < journal_.end_lsn()) {
+  while (applied < batch && log_.consumed < sequencer.head_lsn()) {
+    const uint64_t lsn = log_.consumed;
+    if (lsn < log_.inbound.end_lsn()) {
       // The replica journaled this record before it crashed (or before it
       // was evicted): replay it from local durable state.
-      WVM_ASSIGN_OR_RETURN(const SourceMessage* m, journal_.Read(lsn));
+      WVM_ASSIGN_OR_RETURN(const SourceMessage* m, log_.inbound.Read(lsn));
       WVM_RETURN_IF_ERROR(Apply(*m));
     } else {
       // Beyond the local journal: fetch from the sequencer's history and
@@ -92,9 +86,9 @@ Result<int> Replica::CatchUpStep(const Sequencer& sequencer, int batch) {
       // every applied record (and possibly one unapplied) in the journal.
       WVM_ASSIGN_OR_RETURN(const SourceMessage* m,
                            sequencer.HistoryRead(lsn));
-      WVM_RETURN_IF_ERROR(journal_.Append(lsn, *m));
+      WVM_RETURN_IF_ERROR(log_.inbound.Append(lsn, *m));
       WVM_ASSIGN_OR_RETURN(const SourceMessage* journaled,
-                           journal_.Read(lsn));
+                           log_.inbound.Read(lsn));
       WVM_RETURN_IF_ERROR(Apply(*journaled));
     }
     ++applied;
@@ -114,12 +108,11 @@ void Replica::Crash() {
 Status Replica::BeginRejoin() {
   if (!up_) {
     up_ = true;
-    const ReplicaCheckpoint& ckpt = *checkpoint_;
-    WVM_RETURN_IF_ERROR(
-        warehouse_->maintainer().RestoreState(*ckpt.maintainer));
-    warehouse_->set_next_query_id(ckpt.next_query_id);
-    applied_lsn_ = ckpt.applied_floor;
-    applied_since_checkpoint_ = 0;
+    // The journal tail above the checkpoint is re-applied by CatchUpStep,
+    // so the applied LSN restarts at the checkpoint's floor.
+    WVM_RETURN_IF_ERROR(log_.RestoreCheckpoint(warehouse_.get()));
+    log_.consumed = log_.checkpoint->consumed_floor;
+    log_.events_since_checkpoint = 0;
   }
   // An up-but-evicted replica (spurious eviction: its heartbeats were lost,
   // not its state) keeps its current applied prefix and only has to close
@@ -132,14 +125,8 @@ Status Replica::Checkpoint() {
   if (!up_) {
     return Status::FailedPrecondition("cannot checkpoint a crashed replica");
   }
-  ReplicaCheckpoint ckpt;
-  ckpt.maintainer = warehouse_->maintainer().SnapshotState();
-  ckpt.applied_floor = applied_lsn_;
-  ckpt.next_query_id = warehouse_->next_query_id();
-  checkpoint_ = std::move(ckpt);
-  WVM_RETURN_IF_ERROR(journal_.TruncateBelow(applied_lsn_));
-  applied_since_checkpoint_ = 0;
-  return Status::OK();
+  // The replica never sends, so there is no outbound window to keep.
+  return log_.Checkpoint(*warehouse_, /*acked_floor=*/0);
 }
 
 uint64_t Replica::ServeRead() const {

@@ -9,7 +9,7 @@
 #include "channel/cost_meter.h"
 #include "core/factory.h"
 #include "core/warehouse.h"
-#include "recovery/journal.h"
+#include "recovery/checkpointed_site_log.h"
 #include "replication/sequencer.h"
 
 namespace wvm {
@@ -29,19 +29,6 @@ enum class ReplicaMembership {
 
 const char* ReplicaMembershipName(ReplicaMembership m);
 
-/// A replica's durable checkpoint: the maintainer's full state (the same
-/// MaintainerSnapshot hierarchy src/recovery checkpoints use) plus the LSN
-/// floor it folds in. Relations are copy-on-write, so taking one is cheap.
-struct ReplicaCheckpoint {
-  std::shared_ptr<const MaintainerSnapshot> maintainer;
-  /// Sequenced messages with LSN < this are folded into `maintainer`.
-  uint64_t applied_floor = 0;
-  /// The warehouse query-id counter at the floor: replayed notifications
-  /// must re-allocate the very ids they allocated the first time, or the
-  /// broadcast answers (which carry the lead's ids) stop matching the UQS.
-  uint64_t next_query_id = 1;
-};
-
 /// One warehouse replica of the replicated tier: an unmodified ECA-family
 /// maintainer driven by the sequenced broadcast instead of a private source
 /// connection. Determinism does the heavy lifting — the maintainer re-runs
@@ -53,10 +40,14 @@ struct ReplicaCheckpoint {
 /// allocated (keeping query-id bookkeeping aligned with the lead) but
 /// neither metered nor transmitted — the answers arrive in the broadcast.
 ///
-/// Durable state (survives a crash): the inbound journal, the latest
-/// checkpoint. Everything else — maintainer bookkeeping, channel buffers —
-/// is volatile, exactly the split src/recovery defines for the single-site
-/// warehouse.
+/// Durable state (survives a crash) is a WarehouseSiteLog — the replica is
+/// a warehouse site that never sends, so its outbound journal stays empty:
+/// the inbound journal of LSN-keyed broadcast records and the latest
+/// checkpoint, taken and restored by the same code as the single-site
+/// warehouse's. The checkpoint's query-id counter matters here too: the
+/// broadcast answers carry the lead's ids, so replayed notifications must
+/// re-allocate the very ids they allocated the first time. Everything else
+/// — maintainer bookkeeping, channel buffers — is volatile.
 class Replica {
  public:
   static Result<std::unique_ptr<Replica>> Create(int id, Algorithm algorithm,
@@ -76,13 +67,13 @@ class Replica {
 
   /// Number of sequenced messages applied = the next LSN this replica
   /// needs. Equal to the lead's consumed count when fully caught up.
-  uint64_t applied_lsn() const { return applied_lsn_; }
+  uint64_t applied_lsn() const { return log_.consumed; }
 
   /// The replica's durable inbound journal (LSN-keyed broadcast records).
-  const Journal<SourceMessage>& journal() const { return journal_; }
-  Journal<SourceMessage>& mutable_journal() { return journal_; }
-  const std::optional<ReplicaCheckpoint>& checkpoint() const {
-    return checkpoint_;
+  const Journal<SourceMessage>& journal() const { return log_.inbound; }
+  Journal<SourceMessage>& mutable_journal() { return log_.inbound; }
+  const std::optional<WarehouseCheckpoint>& checkpoint() const {
+    return log_.checkpoint;
   }
 
   const Relation& view() const {
@@ -126,11 +117,7 @@ class Replica {
 
  private:
   Replica(int id, int checkpoint_every)
-      : id_(id),
-        checkpoint_every_(checkpoint_every),
-        journal_([](const SourceMessage& m) {
-          return SourceMessageToString(m);
-        }) {}
+      : id_(id), checkpoint_every_(checkpoint_every) {}
 
   /// Applies one sequenced message to the maintainer and advances the
   /// applied LSN, auto-checkpointing on the configured cadence.
@@ -138,16 +125,14 @@ class Replica {
 
   int id_;
   int checkpoint_every_;
-  int applied_since_checkpoint_ = 0;
 
   CostMeter meter_;  // never charged: the replica originates no traffic
   TransportChannel<QueryMessage> null_query_channel_;
   std::unique_ptr<Warehouse> warehouse_;
 
-  Journal<SourceMessage> journal_;
-  std::optional<ReplicaCheckpoint> checkpoint_;
+  /// Durable state; `consumed` is the applied LSN.
+  WarehouseSiteLog log_;
 
-  uint64_t applied_lsn_ = 0;
   bool up_ = true;
   ReplicaMembership membership_ = ReplicaMembership::kInGroup;
 

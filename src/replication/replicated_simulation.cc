@@ -135,8 +135,9 @@ Status ReplicatedSimulation::TrimHistory() {
     // Create) or with an old one pins the history at its floor: that is
     // the lowest LSN any future catch-up can start from.
     const uint64_t f =
-        replica->checkpoint().has_value() ? replica->checkpoint()->applied_floor
-                                          : 0;
+        replica->checkpoint().has_value()
+            ? replica->checkpoint()->consumed_floor
+            : 0;
     floor = std::min(floor, f);
   }
   return sequencer_.TrimHistoryBelow(floor);
@@ -148,8 +149,15 @@ bool ReplicatedSimulation::Serving(int r) const {
          monitor_.health(r) == ReplicaHealth::kLive;
 }
 
+Status ReplicatedSimulation::CheckReplica(int r) const {
+  if (r < 0 || r >= num_replicas()) {
+    return Status::OutOfRange("no such replica");
+  }
+  return Status::OK();
+}
+
 bool ReplicatedSimulation::CanReplicaApply(int r) const {
-  return replicas_[r]->up() &&
+  return CheckReplica(r).ok() && replicas_[r]->up() &&
          replicas_[r]->membership() == ReplicaMembership::kInGroup &&
          sequencer_.channel(r).HasMessage();
 }
@@ -158,7 +166,7 @@ bool ReplicatedSimulation::CanCatchUp(int r) const {
   // Catch-up covers both halves of a rejoin: closing the LSN gap and (once
   // at the head) reattaching. An up non-member always has one of the two
   // left to do.
-  return replicas_[r]->up() &&
+  return CheckReplica(r).ok() && replicas_[r]->up() &&
          replicas_[r]->membership() != ReplicaMembership::kInGroup;
 }
 
@@ -229,6 +237,7 @@ Status ReplicatedSimulation::StepTransportTick() {
 }
 
 Status ReplicatedSimulation::StepReplicaApply(int r) {
+  WVM_RETURN_IF_ERROR(CheckReplica(r));
   if (!CanReplicaApply(r)) {
     return Status::FailedPrecondition("replica apply not enabled");
   }
@@ -237,6 +246,7 @@ Status ReplicatedSimulation::StepReplicaApply(int r) {
 }
 
 Status ReplicatedSimulation::StepCatchUp(int r) {
+  WVM_RETURN_IF_ERROR(CheckReplica(r));
   if (!CanCatchUp(r)) {
     return Status::FailedPrecondition("catch-up not enabled");
   }
@@ -343,6 +353,7 @@ Status ReplicatedSimulation::Step(RepAction action) {
 }
 
 Status ReplicatedSimulation::CrashReplica(int r) {
+  WVM_RETURN_IF_ERROR(CheckReplica(r));
   Replica& rep = *replicas_[r];
   if (!rep.up()) {
     return Status::FailedPrecondition("replica is already down");
@@ -360,6 +371,7 @@ Status ReplicatedSimulation::CrashReplica(int r) {
 }
 
 Status ReplicatedSimulation::RejoinReplica(int r) {
+  WVM_RETURN_IF_ERROR(CheckReplica(r));
   Replica& rep = *replicas_[r];
   if (rep.up() && rep.membership() == ReplicaMembership::kInGroup) {
     return Status::FailedPrecondition(

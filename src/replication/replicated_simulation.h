@@ -131,6 +131,9 @@ class ReplicatedSimulation {
   bool CanTransportTick() const {
     return lead_->CanTransportTick() || sequencer_.HasTimedWork();
   }
+  // A replica index outside [0, num_replicas()) is rejected: the Step*,
+  // CrashReplica and RejoinReplica methods return OutOfRange, the Can*
+  // queries return false.
   bool CanReplicaApply(int r) const;
   bool CanCatchUp(int r) const;
   bool CanHeartbeatRound() const { return heartbeat_rounds_remaining_ > 0; }
@@ -196,6 +199,9 @@ class ReplicatedSimulation {
 
   /// Whether replica `r` may serve reads right now.
   bool Serving(int r) const;
+
+  /// OutOfRange unless 0 <= r < num_replicas().
+  Status CheckReplica(int r) const;
 
   ReplicationOptions options_;
   std::unique_ptr<Simulation> lead_;

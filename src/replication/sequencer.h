@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "channel/message.h"
+#include "channel/wire_codec.h"
 #include "recovery/journal.h"
 #include "transport/transport_channel.h"
 
@@ -34,10 +35,7 @@ namespace wvm {
 /// because the catch-up path has already delivered everything below it.
 class Sequencer {
  public:
-  Sequencer()
-      : history_([](const SourceMessage& m) {
-          return SourceMessageToString(m);
-        }) {}
+  Sequencer() : history_(EncodeSourceMessage) {}
 
   Sequencer(const Sequencer&) = delete;
   Sequencer& operator=(const Sequencer&) = delete;

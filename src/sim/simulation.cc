@@ -1,9 +1,6 @@
 #include "sim/simulation.h"
 
-#include <stdlib.h>
-
 #include <algorithm>
-#include <filesystem>
 #include <vector>
 
 #include "common/strings.h"
@@ -17,21 +14,7 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
   if (options.batch_size < 1) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  if (options.recovery.enabled &&
-      (!options.fault.enabled || !options.fault.reliable)) {
-    // Recovery re-syncs the endpoints from the journals; without the
-    // protocol there is no sequence numbering to key the journals by.
-    return Status::InvalidArgument(
-        "recovery requires the reliable transport mode");
-  }
-  if (options.recovery.checkpoint_every < 0) {
-    return Status::InvalidArgument("checkpoint_every must be >= 0");
-  }
-  if (options.recovery.backend == JournalBackend::kFile &&
-      !options.recovery.enabled) {
-    return Status::InvalidArgument(
-        "the file journal backend requires recovery to be enabled");
-  }
+  WVM_RETURN_IF_ERROR(options.recovery.Validate(options.fault));
   if (options.fault_up.has_value() &&
       (options.fault_up->enabled != options.fault.enabled ||
        options.fault_up->reliable != options.fault.reliable)) {
@@ -72,28 +55,10 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
     };
     up_hooks.on_ack_frame = [raw] { raw->meter_.RecordAckMessage(); };
     if (options.recovery.enabled) {
-      // Write-ahead journaling, keyed by the protocol's sequence numbers:
-      // sends are journaled at the originating site before the wire, and
-      // deliveries at the receiving site before the covering ack leaves
-      // ("acked => journaled", the invariant that makes acks safe). The
-      // journal Appends cannot fail here — the endpoint hands out strictly
-      // increasing sequence numbers in exactly journal-append order.
-      down_hooks.on_send = [raw](uint64_t seq, const SourceMessage& m) {
-        WVM_REQUIRE(raw->src_log_.outbound.Append(seq, m).ok(),
-                    "source outbound journal append failed");
-      };
-      down_hooks.on_deliver = [raw](uint64_t seq, const SourceMessage& m) {
-        WVM_REQUIRE(raw->wh_log_.inbound.Append(seq, m).ok(),
-                    "warehouse inbound journal append failed");
-      };
-      up_hooks.on_send = [raw](uint64_t seq, const QueryMessage& m) {
-        WVM_REQUIRE(raw->wh_log_.outbound.Append(seq, m).ok(),
-                    "warehouse outbound journal append failed");
-      };
-      up_hooks.on_deliver = [raw](uint64_t seq, const QueryMessage& m) {
-        WVM_REQUIRE(raw->src_log_.inbound.Append(seq, m).ok(),
-                    "source inbound journal append failed");
-      };
+      JournalDirection(&raw->src_log_.outbound, &raw->wh_log_.inbound,
+                       &down_hooks);
+      JournalDirection(&raw->wh_log_.outbound, &raw->src_log_.inbound,
+                       &up_hooks);
     }
     WVM_RETURN_IF_ERROR(
         sim->to_warehouse_.Configure(options.fault, /*salt=*/1,
@@ -103,11 +68,13 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
     WVM_RETURN_IF_ERROR(sim->to_source_.Configure(up_fault, /*salt=*/2,
                                                   std::move(up_hooks)));
   }
-  if (options.recovery.enabled &&
-      options.recovery.backend == JournalBackend::kFile) {
+  if (options.recovery.backend == JournalBackend::kFile) {
     // Spill the four site-log journals to on-disk segments before any
     // traffic can journal a record (AttachWal refuses otherwise).
-    WVM_RETURN_IF_ERROR(sim->AttachSiteLogWals());
+    const WalOptions& tuning = options.recovery.wal;
+    WVM_RETURN_IF_ERROR(sim->wal_dir_.Open(options.recovery.wal_dir));
+    WVM_RETURN_IF_ERROR(sim->wh_log_.AttachWals(sim->wal_dir_, tuning, "wh"));
+    WVM_RETURN_IF_ERROR(sim->src_log_.AttachWals(sim->wal_dir_, tuning, "src"));
   }
   SourceConfig source_config;
   source_config.physical = options.physical;
@@ -145,73 +112,9 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
   return sim;
 }
 
-Simulation::~Simulation() {
-  if (!owns_wal_dir_) {
-    return;
-  }
-  // Close the WAL writers first (their destructors flush and release the
-  // fds), then take the temp directory with them.
-  wh_log_ = WarehouseSiteLog();
-  src_log_ = SourceSiteLog();
-  std::error_code ec;
-  std::filesystem::remove_all(wal_dir_, ec);  // best-effort cleanup
-}
-
-Status Simulation::AttachSiteLogWals() {
-  namespace fs = std::filesystem;
-  if (options_.recovery.wal_dir.empty()) {
-    std::error_code ec;
-    const fs::path base = fs::temp_directory_path(ec);
-    if (ec) {
-      return Status::Internal("no temp directory for WAL segments: " +
-                              ec.message());
-    }
-    std::string tmpl = (base / "wvm-wal-XXXXXX").string();
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) {
-      return Status::Internal("mkdtemp failed for the WAL directory");
-    }
-    wal_dir_ = buf.data();
-    owns_wal_dir_ = true;
-  } else {
-    wal_dir_ = options_.recovery.wal_dir;
-  }
-  // One shared directory; the per-journal name prefix keeps each journal's
-  // segment scan blind to the other three.
-  const auto wal_options = [this](const char* name) {
-    WalOptions o = options_.recovery.wal;
-    o.dir = wal_dir_;
-    o.name = name;
-    return o;
-  };
-  WVM_RETURN_IF_ERROR(wh_log_.inbound.AttachWal(wal_options("wh-in")));
-  WVM_RETURN_IF_ERROR(wh_log_.outbound.AttachWal(wal_options("wh-out")));
-  WVM_RETURN_IF_ERROR(src_log_.inbound.AttachWal(wal_options("src-in")));
-  WVM_RETURN_IF_ERROR(src_log_.outbound.AttachWal(wal_options("src-out")));
-  return Status::OK();
-}
-
 WalStats Simulation::wal_stats() const {
-  WalStats total;
-  const auto add = [&total](const WalStats* s) {
-    if (s == nullptr) {
-      return;
-    }
-    total.appends += s->appends;
-    total.appended_bytes += s->appended_bytes;
-    total.flushes += s->flushes;
-    total.fsyncs += s->fsyncs;
-    total.segments_created += s->segments_created;
-    total.segments_dropped += s->segments_dropped;
-    total.recovered_records += s->recovered_records;
-    total.torn_records_dropped += s->torn_records_dropped;
-    total.torn_bytes_dropped += s->torn_bytes_dropped;
-  };
-  add(wh_log_.inbound.wal_stats());
-  add(wh_log_.outbound.wal_stats());
-  add(src_log_.inbound.wal_stats());
-  add(src_log_.outbound.wal_stats());
+  WalStats total = wh_log_.wal_stats();
+  total += src_log_.wal_stats();
   return total;
 }
 
@@ -526,10 +429,7 @@ Status Simulation::RestartSource() {
 }
 
 Status Simulation::RecoverWarehouse() {
-  const WarehouseCheckpoint& ckpt = *wh_log_.checkpoint;
-  WVM_RETURN_IF_ERROR(
-      warehouse_->maintainer().RestoreState(*ckpt.maintainer));
-  warehouse_->set_next_query_id(ckpt.next_query_id);
+  WVM_RETURN_IF_ERROR(wh_log_.RestoreCheckpoint(warehouse_.get()));
   // Replay the inbound journal between the checkpoint and the consumed
   // floor. Re-execution rebuilds UQS/COLLECT exactly (same messages, same
   // order, same query ids); sends and metering are suppressed because the
@@ -539,36 +439,15 @@ Status Simulation::RecoverWarehouse() {
   warehouse_->set_replaying(true);
   replaying_ = true;
   Status replay = wh_log_.inbound.Scan(
-      ckpt.consumed_floor, wh_log_.consumed,
+      wh_log_.checkpoint->consumed_floor, wh_log_.consumed,
       [this](uint64_t, const SourceMessage& m) {
         return warehouse_->HandleMessage(m);
       });
   warehouse_->set_replaying(false);
   replaying_ = false;
   WVM_RETURN_IF_ERROR(replay);
-  // Delivered-but-unconsumed frames were journaled (acked => journaled)
-  // even though the endpoint's queue died with the site: re-enqueue them
-  // and restart the receiver at the journal's high-water mark.
-  std::deque<SourceMessage> tail;
-  WVM_RETURN_IF_ERROR(wh_log_.inbound.Scan(
-      wh_log_.consumed, wh_log_.inbound.end_lsn(),
-      [&tail](uint64_t, const SourceMessage& m) {
-        tail.push_back(m);
-        return Status::OK();
-      }));
-  to_warehouse_.RestartReceiver(wh_log_.inbound.end_lsn(), std::move(tail));
-  // Conservatively re-install every retained outbound record as the unacked
-  // window: retransmission repairs in-flight loss, the source's dedup
-  // absorbs duplicates, and its next cumulative ack prunes the excess.
-  std::map<uint64_t, QueryMessage> unacked;
-  WVM_RETURN_IF_ERROR(wh_log_.outbound.Scan(
-      wh_log_.outbound.begin_lsn(), wh_log_.outbound.end_lsn(),
-      [&unacked](uint64_t lsn, const QueryMessage& m) {
-        unacked.emplace(lsn, m);
-        return Status::OK();
-      }));
-  to_source_.RestartSender(wh_log_.outbound.end_lsn(), std::move(unacked));
-  return Status::OK();
+  WVM_RETURN_IF_ERROR(wh_log_.RestartReceiver(to_warehouse_));
+  return wh_log_.RestartSender(to_source_);
 }
 
 Status Simulation::RecoverSource() {
@@ -577,7 +456,7 @@ Status Simulation::RecoverSource() {
   // The outbound journal doubles as the update history: re-execute the
   // updates announced by every notification past the checkpoint's outbound
   // floor. Answers carry no source state and are skipped here (their
-  // payloads are re-sent below).
+  // payloads are re-sent with the rest of the outbound window).
   WVM_RETURN_IF_ERROR(src_log_.outbound.Scan(
       ckpt.outbound_floor, src_log_.outbound.end_lsn(),
       [this](uint64_t, const SourceMessage& m) -> Status {
@@ -593,24 +472,8 @@ Status Simulation::RecoverSource() {
       }));
   // Queries delivered but not yet answered come back from the inbound
   // journal; already-answered ones are covered by the consumed floor.
-  std::deque<QueryMessage> tail;
-  WVM_RETURN_IF_ERROR(src_log_.inbound.Scan(
-      src_log_.consumed, src_log_.inbound.end_lsn(),
-      [&tail](uint64_t, const QueryMessage& m) {
-        tail.push_back(m);
-        return Status::OK();
-      }));
-  to_source_.RestartReceiver(src_log_.inbound.end_lsn(), std::move(tail));
-  std::map<uint64_t, SourceMessage> unacked;
-  WVM_RETURN_IF_ERROR(src_log_.outbound.Scan(
-      src_log_.outbound.begin_lsn(), src_log_.outbound.end_lsn(),
-      [&unacked](uint64_t lsn, const SourceMessage& m) {
-        unacked.emplace(lsn, m);
-        return Status::OK();
-      }));
-  to_warehouse_.RestartSender(src_log_.outbound.end_lsn(),
-                              std::move(unacked));
-  return Status::OK();
+  WVM_RETURN_IF_ERROR(src_log_.RestartReceiver(to_source_));
+  return src_log_.RestartSender(to_warehouse_);
 }
 
 Status Simulation::CheckpointWarehouse() {
@@ -620,18 +483,7 @@ Status Simulation::CheckpointWarehouse() {
   if (!warehouse_up_) {
     return Status::FailedPrecondition("cannot checkpoint a crashed site");
   }
-  WarehouseCheckpoint ckpt;
-  ckpt.maintainer = warehouse_->maintainer().SnapshotState();
-  ckpt.next_query_id = warehouse_->next_query_id();
-  ckpt.consumed_floor = wh_log_.consumed;
-  wh_log_.checkpoint = std::move(ckpt);
-  // Consumed inbound frames are folded into the snapshot; outbound frames
-  // below the cumulative ack can never be needed for re-send.
-  WVM_RETURN_IF_ERROR(wh_log_.inbound.TruncateBelow(wh_log_.consumed));
-  WVM_RETURN_IF_ERROR(
-      wh_log_.outbound.TruncateBelow(to_source_.acked_floor()));
-  wh_log_.events_since_checkpoint = 0;
-  return Status::OK();
+  return wh_log_.Checkpoint(*warehouse_, to_source_.acked_floor());
 }
 
 Status Simulation::CheckpointSource() {
@@ -657,26 +509,16 @@ Status Simulation::CheckpointSource() {
 }
 
 Status Simulation::NoteWarehouseConsumed(uint64_t frames) {
-  if (!options_.recovery.enabled) {
-    return Status::OK();
-  }
-  wh_log_.consumed += frames;
-  ++wh_log_.events_since_checkpoint;
-  if (options_.recovery.checkpoint_every > 0 &&
-      wh_log_.events_since_checkpoint >= options_.recovery.checkpoint_every) {
+  if (options_.recovery.enabled &&
+      wh_log_.NoteConsumed(frames, options_.recovery.checkpoint_every)) {
     return CheckpointWarehouse();
   }
   return Status::OK();
 }
 
 Status Simulation::NoteSourceConsumed(uint64_t frames) {
-  if (!options_.recovery.enabled) {
-    return Status::OK();
-  }
-  src_log_.consumed += frames;
-  ++src_log_.events_since_checkpoint;
-  if (options_.recovery.checkpoint_every > 0 &&
-      src_log_.events_since_checkpoint >= options_.recovery.checkpoint_every) {
+  if (options_.recovery.enabled &&
+      src_log_.NoteConsumed(frames, options_.recovery.checkpoint_every)) {
     return CheckpointSource();
   }
   return Status::OK();

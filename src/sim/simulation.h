@@ -12,7 +12,7 @@
 #include "common/result.h"
 #include "consistency/state_log.h"
 #include "core/warehouse.h"
-#include "recovery/site_log.h"
+#include "recovery/checkpointed_site_log.h"
 #include "query/catalog.h"
 #include "query/composite_view.h"
 #include "query/view_def.h"
@@ -38,32 +38,6 @@ enum class SimAction {
   kCrashSource,       // the source site crashes (reliable mode only)
   kRestartSource,     // the source site restarts (recovers if enabled)
   kNone,              // nothing enabled: quiescent
-};
-
-/// Crash-restart recovery (DESIGN.md Section 2e). Off by default: no
-/// journaling, no checkpoints, and crash-free runs are byte-identical to a
-/// build without the subsystem. Requires the reliable transport (recovery
-/// re-syncs the endpoint from the journals; without the protocol there is
-/// no sequence numbering to key them by).
-struct RecoveryOptions {
-  bool enabled = false;
-  /// Auto-checkpoint a site after this many consumed events (0 = only the
-  /// initial checkpoint and explicit Checkpoint*() calls).
-  int checkpoint_every = 0;
-  /// Medium backing the four site-log journals. kMemory (default) keeps the
-  /// pre-WAL in-memory model; kFile spills every journal to real on-disk WAL
-  /// segments (recovery/wal.h) underneath the same Journal interface —
-  /// appends write through before becoming visible, checkpoints drop whole
-  /// segments. Requires `enabled`.
-  JournalBackend backend = JournalBackend::kMemory;
-  /// Directory for the kFile backend's segments (one shared directory; each
-  /// journal uses a distinct file-name prefix). Empty = a fresh temp
-  /// directory, created at Create and removed when the Simulation dies.
-  std::string wal_dir;
-  /// Tuning for the kFile backend (segment size, group-commit thresholds,
-  /// fsync). `dir` and `name` here are ignored — the simulation assigns
-  /// them per journal from `wal_dir`.
-  WalOptions wal;
 };
 
 /// How the source engine executes — grouped so a benchmark or test can
@@ -143,10 +117,6 @@ class Simulation {
       const Catalog& initial, ViewDefinitionPtr view,
       std::unique_ptr<ViewMaintainer> maintainer,
       const SimulationOptions& options);
-
-  /// Closes the site-log WALs and removes the temp segment directory when
-  /// the simulation created one (RecoveryOptions::wal_dir empty).
-  ~Simulation();
 
   /// Sets the updates the source will execute, in order, grouped into
   /// batches of SimulationOptions::batch_size. Ids are assigned at
@@ -244,7 +214,7 @@ class Simulation {
   /// zero unless RecoveryOptions::backend is kFile).
   WalStats wal_stats() const;
   /// Directory holding the WAL segments ("" for the memory backend).
-  const std::string& wal_dir() const { return wal_dir_; }
+  const std::string& wal_dir() const { return wal_dir_.path(); }
   const StateLog& state_log() const { return state_log_; }
   const Trace& trace() const { return trace_; }
   size_t updates_remaining() const;
@@ -265,10 +235,6 @@ class Simulation {
   Status RecordSourceState(Relation delta);
   void RecordWarehouseState();
 
-  /// kFile backend: resolves the segment directory (temp when unset) and
-  /// attaches one WAL per site-log journal. Called by Create before any
-  /// traffic can journal a record.
-  Status AttachSiteLogWals();
   /// Shared precondition of every crash/restart entry point.
   Status CheckCrashSupported() const;
   /// Recovered-restart bodies (recovery mode only).
@@ -295,10 +261,10 @@ class Simulation {
   uint64_t event_seq_ = 0;  // logical clock across all sites
   // Crash-restart state. The site logs model each site's disk: populated
   // only in recovery mode, and the only site state a kCrash leaves intact.
+  // The WAL directory is declared first so the journals close before it goes.
+  WalDirectory wal_dir_;
   WarehouseSiteLog wh_log_;
   SourceSiteLog src_log_;
-  std::string wal_dir_;          // non-empty iff the kFile backend is active
-  bool owns_wal_dir_ = false;    // Create made a temp dir; destructor removes
   bool warehouse_up_ = true;
   bool source_up_ = true;
   bool replaying_ = false;  // suppresses state-log records during replay

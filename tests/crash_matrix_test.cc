@@ -21,6 +21,8 @@
 
 #include <filesystem>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -739,11 +741,48 @@ TEST(FileBackedCrashMatrixTest, OwnedWalDirectoryIsRemovedOnDestruction) {
       << "the simulation leaked its temp WAL directory";
 }
 
+TEST(FileBackedCrashMatrixTest, CallerWalDirectoryIsUsedAndKept) {
+  ScratchDir dir;
+  {
+    SimulationOptions options = AsymmetricFileOptions(7, 0);
+    options.recovery.wal_dir = dir.path();
+    std::unique_ptr<Simulation> sim =
+        MakeCrashSim(Algorithm::kEca, 7, options);
+    EXPECT_EQ(sim->wal_dir(), dir.path());
+    RandomPolicy policy(7);
+    ASSERT_TRUE(RunToQuiescence(sim.get(), &policy).ok());
+  }
+  // Every site-log journal wrote its segments there, and the directory
+  // outlives a simulation that did not make it.
+  EXPECT_EQ(dir.WalNames(),
+            (std::set<std::string>{"src-in", "src-out", "wh-in", "wh-out"}));
+}
+
+TEST(FileBackedCrashMatrixTest, TempWalDirectoryIsRemovedWhenCreateFails) {
+  Random rng(2);
+  Result<Workload> w = MakeExample6Workload({8, 2}, &rng);
+  ASSERT_TRUE(w.ok()) << w.status();
+  ScratchDir tmp;
+  {
+    ScopedTmpdir scope(tmp.path());
+    // Example 6's view keeps no key of its base relations, so ECA-Key
+    // fails in Warehouse::Initialize — after Create made the WAL directory.
+    Result<std::unique_ptr<Simulation>> sim = Simulation::Create(
+        w->initial, w->view,
+        MustMakeMaintainer({.algorithm = Algorithm::kEcaKey}, w->view),
+        AsymmetricFileOptions(3, 0));
+    EXPECT_EQ(sim.status().code(), StatusCode::kFailedPrecondition)
+        << sim.status();
+  }
+  EXPECT_TRUE(tmp.empty()) << "a failed Create leaked its temp WAL directory";
+}
+
 TEST(FileBackedCrashMatrixTest, GuardRails) {
   Random rng(2);
   Result<Workload> w = MakeExample6Workload({8, 2}, &rng);
   ASSERT_TRUE(w.ok()) << w.status();
   // kFile without recovery makes no sense: there is nothing to journal.
+  // MsSimulation shares this check and its message.
   {
     Result<std::unique_ptr<ViewMaintainer>> m =
         MakeMaintainer({.algorithm = Algorithm::kEca}, w->view);
@@ -751,6 +790,35 @@ TEST(FileBackedCrashMatrixTest, GuardRails) {
     SimulationOptions options;
     options.fault = ReliableTransport(1, false);
     options.recovery.backend = JournalBackend::kFile;
+    Status status =
+        Simulation::Create(w->initial, w->view, std::move(*m), options)
+            .status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(),
+              "the file journal backend requires recovery to be enabled");
+  }
+  // Recovery keys its journals by the reliable protocol's sequence
+  // numbers; the same message as MsSimulation's.
+  {
+    Result<std::unique_ptr<ViewMaintainer>> m =
+        MakeMaintainer({.algorithm = Algorithm::kEca}, w->view);
+    ASSERT_TRUE(m.ok());
+    SimulationOptions options;
+    options.fault = ReliableTransport(1, false);
+    options.fault.reliable = false;
+    options.recovery.enabled = true;
+    Status status =
+        Simulation::Create(w->initial, w->view, std::move(*m), options)
+            .status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "recovery requires the reliable transport mode");
+  }
+  // A negative checkpoint interval.
+  {
+    Result<std::unique_ptr<ViewMaintainer>> m =
+        MakeMaintainer({.algorithm = Algorithm::kEca}, w->view);
+    ASSERT_TRUE(m.ok());
+    SimulationOptions options = RecoveryOptionsFor(1, false, -1);
     EXPECT_EQ(Simulation::Create(w->initial, w->view, std::move(*m), options)
                   .status()
                   .code(),

@@ -18,6 +18,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "consistency/checker.h"
 #include "multisource/ms_eca.h"
 #include "multisource/ms_eca_snapshot.h"
+#include "test_util.h"
 
 namespace wvm {
 namespace {
@@ -337,21 +339,36 @@ TEST(MsTransportTest, GuardRailsRejectInconsistentOptions) {
                   .code(),
               StatusCode::kInvalidArgument);
   }
-  {  // Recovery needs the reliable protocol underneath.
+  {  // Recovery needs the reliable protocol underneath (the same check and
+     // message as Simulation's).
     MsSimulationOptions options;
     options.fault = ReliableFaults(1);
     options.fault.reliable = false;
     options.recovery.enabled = true;
-    EXPECT_EQ(MsSimulation::Create(f.per_source, f.view,
-                                   std::make_unique<MsEca>(f.view), options)
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
+    Status status = MsSimulation::Create(f.per_source, f.view,
+                                         std::make_unique<MsEca>(f.view),
+                                         options)
+                        .status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "recovery requires the reliable transport mode");
   }
   {  // kFile journals without recovery make no sense.
     MsSimulationOptions options;
     options.fault = ReliableFaults(1);
     options.recovery.backend = JournalBackend::kFile;
+    Status status = MsSimulation::Create(f.per_source, f.view,
+                                         std::make_unique<MsEca>(f.view),
+                                         options)
+                        .status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(),
+              "the file journal backend requires recovery to be enabled");
+  }
+  {  // Genesis replay takes no checkpoints: no interval is accepted.
+    MsSimulationOptions options;
+    options.fault = ReliableFaults(1);
+    options.recovery.enabled = true;
+    options.recovery.checkpoint_every = 3;
     EXPECT_EQ(MsSimulation::Create(f.per_source, f.view,
                                    std::make_unique<MsEca>(f.view), options)
                   .status()
@@ -469,6 +486,51 @@ TEST(MsTransportTest, FileJournalsPlusAsymmetryPlusCrashEndToEnd) {
     sim->reset();  // the owned temp directory dies with the simulation
     EXPECT_FALSE(std::filesystem::exists(wal_dir));
   }
+}
+
+TEST(MsTransportTest, CallerWalDirectoryIsUsedAndKept) {
+  ScratchDir dir;
+  {
+    TwoSourceFixture f = TwoSourceFixture::Make();
+    MsSimulationOptions options = AsymmetricOptions(5);
+    options.recovery.enabled = true;
+    options.recovery.backend = JournalBackend::kFile;
+    options.recovery.wal_dir = dir.path();
+    Result<std::unique_ptr<MsSimulation>> sim = MsSimulation::Create(
+        f.per_source, f.view, std::make_unique<MsEcaSnapshot>(f.view),
+        options);
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    EXPECT_EQ((*sim)->wal_dir(), dir.path());
+    ASSERT_TRUE(ScriptTwoSources(**sim).ok());
+    ASSERT_TRUE((*sim)->RunRandom(5).ok());
+    ExpectConverged(**sim, "caller wal_dir");
+  }
+  // Every journal wrote its segments there, and the directory outlives a
+  // simulation that did not make it.
+  EXPECT_EQ(dir.WalNames(),
+            (std::set<std::string>{"consumed", "src-0-in", "src-0-out",
+                                   "src-1-in", "src-1-out", "wh-0-in",
+                                   "wh-0-out", "wh-1-in", "wh-1-out"}));
+}
+
+TEST(MsTransportTest, TempWalDirectoryIsRemovedWhenCreateFails) {
+  TwoSourceFixture f = TwoSourceFixture::Make();
+  // Both sources claim r1: Create fails building the ownership map, after
+  // it made the WAL directory.
+  f.per_source[1] = f.per_source[0].Clone();
+  ScratchDir tmp;
+  {
+    ScopedTmpdir scope(tmp.path());
+    MsSimulationOptions options = AsymmetricOptions(5);
+    options.recovery.enabled = true;
+    options.recovery.backend = JournalBackend::kFile;
+    Result<std::unique_ptr<MsSimulation>> sim = MsSimulation::Create(
+        f.per_source, f.view, std::make_unique<MsEcaSnapshot>(f.view),
+        options);
+    EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument)
+        << sim.status();
+  }
+  EXPECT_TRUE(tmp.empty()) << "a failed Create leaked its temp WAL directory";
 }
 
 }  // namespace

@@ -162,6 +162,25 @@ TEST(MsMechanicsTest, OutOfRangeSourcesRejected) {
   ASSERT_TRUE(sim.ok());
   EXPECT_EQ((*sim)->SetUpdateScript(5, {}).code(), StatusCode::kOutOfRange);
   EXPECT_FALSE((*sim)->StepSourceUpdate(0).ok());  // empty script
+  const size_t n = (*sim)->num_sources();
+  EXPECT_EQ((*sim)->StepSourceUpdate(n).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ((*sim)->StepSourceAnswer(n).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ((*sim)->StepWarehouse(n).code(), StatusCode::kOutOfRange);
+  EXPECT_FALSE((*sim)->CanSourceUpdate(n));
+  EXPECT_FALSE((*sim)->CanSourceAnswer(n));
+  EXPECT_FALSE((*sim)->CanWarehouseStep(n));
+  EXPECT_FALSE((*sim)->source_up(n));
+  // With crash-restart supported, the crash entry points check too.
+  MsSimulationOptions options;
+  options.fault.enabled = true;
+  options.fault.reliable = true;
+  options.recovery.enabled = true;
+  Result<std::unique_ptr<MsSimulation>> durable = MsSimulation::Create(
+      f.per_source, f.view, std::make_unique<MsEca>(f.view), options);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  EXPECT_FALSE((*durable)->CanCrashSource(n));
+  EXPECT_EQ((*durable)->CrashSource(n).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ((*durable)->RestartSource(n).code(), StatusCode::kOutOfRange);
 }
 
 TEST(MultiViewHeterogeneousTest, EcaAndEcaKeyChildrenCoexist) {

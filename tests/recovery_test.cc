@@ -22,8 +22,8 @@
 
 #include "core/eca.h"
 #include "core/eca_key.h"
+#include "recovery/checkpointed_site_log.h"
 #include "recovery/journal.h"
-#include "recovery/site_log.h"
 #include "test_util.h"
 #include "transport/reliable_endpoint.h"
 #include "workload/generator.h"

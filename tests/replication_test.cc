@@ -202,9 +202,9 @@ TEST(ReplicationTest, CheckpointsTruncateJournalsAndHistory) {
   for (int r = 0; r < f.sim->num_replicas(); ++r) {
     const Replica& rep_r = f.sim->replica(r);
     ASSERT_TRUE(rep_r.checkpoint().has_value());
-    EXPECT_GT(rep_r.checkpoint()->applied_floor, 0u) << r;
+    EXPECT_GT(rep_r.checkpoint()->consumed_floor, 0u) << r;
     // The journal prefix covered by the checkpoint is gone.
-    EXPECT_EQ(rep_r.journal().begin_lsn(), rep_r.checkpoint()->applied_floor)
+    EXPECT_EQ(rep_r.journal().begin_lsn(), rep_r.checkpoint()->consumed_floor)
         << r;
     EXPECT_EQ(rep_r.journal().end_lsn(), head) << r;
   }
@@ -213,7 +213,7 @@ TEST(ReplicationTest, CheckpointsTruncateJournalsAndHistory) {
   uint64_t min_floor = head;
   for (int r = 0; r < f.sim->num_replicas(); ++r) {
     min_floor =
-        std::min(min_floor, f.sim->replica(r).checkpoint()->applied_floor);
+        std::min(min_floor, f.sim->replica(r).checkpoint()->consumed_floor);
   }
   EXPECT_EQ(f.sim->sequencer().history().begin_lsn(), min_floor);
   EXPECT_GT(min_floor, 0u);
@@ -368,6 +368,32 @@ TEST(ReplicationTest, SingleReplicaGroupConverges) {
   ASSERT_TRUE(RunReplicatedToQuiescence(f.sim.get(), &policy).ok());
   EXPECT_TRUE(f.sim->ConvergenceNow().converged);
   EXPECT_EQ(f.sim->replica(0).view(), f.sim->lead().warehouse_view());
+}
+
+TEST(ReplicationTest, OutOfRangeReplicaRejected) {
+  ReplicationOptions rep;
+  rep.num_replicas = 2;
+  ReplicatedFixture f =
+      MakeReplicated(Algorithm::kEca, 3, SimulationOptions(), rep, 4);
+  for (int r : {-1, f.sim->num_replicas()}) {
+    EXPECT_FALSE(f.sim->CanReplicaApply(r)) << r;
+    EXPECT_FALSE(f.sim->CanCatchUp(r)) << r;
+    EXPECT_EQ(f.sim->StepReplicaApply(r).code(), StatusCode::kOutOfRange)
+        << r;
+    EXPECT_EQ(f.sim->StepCatchUp(r).code(), StatusCode::kOutOfRange) << r;
+    EXPECT_EQ(f.sim->Step({RepAction::Kind::kReplicaApply, r}).code(),
+              StatusCode::kOutOfRange)
+        << r;
+    EXPECT_EQ(f.sim->Step({RepAction::Kind::kCatchUpStep, r}).code(),
+              StatusCode::kOutOfRange)
+        << r;
+    EXPECT_EQ(f.sim->CrashReplica(r).code(), StatusCode::kOutOfRange) << r;
+    EXPECT_EQ(f.sim->RejoinReplica(r).code(), StatusCode::kOutOfRange) << r;
+  }
+  // The rejected calls left the group intact.
+  RandomReplicatedPolicy policy(3);
+  ASSERT_TRUE(RunReplicatedToQuiescence(f.sim.get(), &policy).ok());
+  EXPECT_TRUE(f.sim->ConvergenceNow().converged);
 }
 
 TEST(ReplicationTest, RequiresReliableTransportWhenFaulty) {

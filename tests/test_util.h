@@ -2,8 +2,13 @@
 #define WVM_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <memory>
+#include <optional>
+#include <set>
+#include <string>
 
 #include "consistency/checker.h"
 #include "consistency_reference.h"
@@ -79,6 +84,68 @@ inline ConsistencyReport RunRandomized(const Catalog& initial,
   EXPECT_TRUE(run.ok()) << run;
   return CheckedConsistency(sim->state_log());
 }
+
+// A fresh, empty directory under the temp directory, removed with all it
+// holds when the object dies.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "wvm-test-XXXXXX").string();
+    EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+    path_ = tmpl;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  bool empty() const { return std::filesystem::is_empty(path_); }
+
+  // The segment-name prefixes of the WAL segments in the directory
+  // (`<name>-<20-digit first lsn>.wal`).
+  std::set<std::string> WalNames() const {
+    std::set<std::string> names;
+    const size_t suffix = 1 + 20 + 4;
+    for (const auto& entry : std::filesystem::directory_iterator(path_)) {
+      const std::string file = entry.path().filename().string();
+      if (file.size() > suffix && entry.path().extension() == ".wal") {
+        names.insert(file.substr(0, file.size() - suffix));
+      }
+    }
+    return names;
+  }
+
+ private:
+  std::string path_;
+};
+
+// Points TMPDIR at `dir` while in scope, so a test sees what a component
+// leaves behind in the temp directory.
+class ScopedTmpdir {
+ public:
+  explicit ScopedTmpdir(const std::string& dir) {
+    if (const char* old = ::getenv("TMPDIR")) {
+      old_ = old;
+    }
+    ::setenv("TMPDIR", dir.c_str(), 1);
+  }
+  ~ScopedTmpdir() {
+    if (old_.has_value()) {
+      ::setenv("TMPDIR", old_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+  }
+  ScopedTmpdir(const ScopedTmpdir&) = delete;
+  ScopedTmpdir& operator=(const ScopedTmpdir&) = delete;
+
+ private:
+  std::optional<std::string> old_;
+};
 
 }  // namespace wvm
 

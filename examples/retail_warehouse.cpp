@@ -13,8 +13,8 @@
 
 #include "common/strings.h"
 #include "consistency/checker.h"
+#include "core/eca_sc.h"
 #include "core/factory.h"
-#include "core/sc.h"
 #include "sim/policies.h"
 #include "sim/simulation.h"
 #include "workload/generator.h"
@@ -87,8 +87,7 @@ int main(int argc, char** argv) {
         MakeMaintainer({.algorithm = algorithm, .rv_period = 6},
                        workload->view);
     WVM_CHECK_OK(maintainer.status());
-    const StoreCopies* sc =
-        dynamic_cast<const StoreCopies*>(maintainer->get());
+    const EcaSc* sc = dynamic_cast<const EcaSc*>(maintainer->get());
 
     SimulationOptions options;
     options.indexes = workload->scenario1_indexes;

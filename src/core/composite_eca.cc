@@ -25,9 +25,7 @@ Query CompositeEca::BuildCompensatedQuery(const Update& u,
   if (q.empty()) {
     return q;  // irrelevant to every branch
   }
-  for (const auto& [id, pending] : uqs_) {
-    q.SubtractTerms(pending.Substitute(u));
-  }
+  uqs_.Compensate(u, &q);
   return q;
 }
 

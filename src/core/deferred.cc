@@ -61,4 +61,9 @@ Status Deferred::RestoreState(const MaintainerSnapshot& snapshot) {
   return Status::OK();
 }
 
+void Deferred::LoseVolatileState() {
+  buffer_.clear();
+  inner_->LoseVolatileState();
+}
+
 }  // namespace wvm

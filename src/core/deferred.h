@@ -56,6 +56,9 @@ class Deferred : public ViewMaintainer {
   /// A checkpoint holds the inner maintainer's snapshot and the buffer.
   std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
   Status RestoreState(const MaintainerSnapshot& snapshot) override;
+  /// The buffered notifications are lost with the inner maintainer's
+  /// volatile state.
+  void LoseVolatileState() override;
 
   /// Hands all buffered updates to the inner maintainer now. The deferred
   /// reading: a query arrived against the warehouse view.

@@ -26,12 +26,7 @@ Query Eca::BuildCompensatedQuery(const Update& u, uint64_t query_id) const {
   }
   Query q(query_id, u.id, {std::move(*term)});
   if (options_.compensate) {
-    for (const auto& [id, pending] : uqs_) {
-      // Compensate the effect of u on every pending query: - Q_j<u>.
-      // Substituted terms keep their original delta tags, so the
-      // compensation is attributed to the update whose delta it fixes.
-      q.SubtractTerms(pending.Substitute(u));
-    }
+    uqs_.Compensate(u, &q);
   }
   return q;
 }
@@ -69,7 +64,7 @@ Status Eca::SendAndTrack(Query q, WarehouseContext* ctx) {
   if (!remote.empty()) {
     // UQS keeps the FULL query: compensation substitutes into all terms
     // (substituting into an already fully-bound term vanishes anyway).
-    uqs_.emplace(q.id(), std::move(q));
+    uqs_.Add(std::move(q));
     ctx->SendQuery(std::move(remote));
   } else if (!options_.apply_immediately) {
     MaybeInstall();
@@ -82,10 +77,9 @@ Status Eca::OnUpdate(const Update& u, WarehouseContext* ctx) {
   return SendAndTrack(std::move(q), ctx);
 }
 
-Status Eca::FoldAnswer(const AnswerMessage& a) {
-  if (uqs_.erase(a.query_id) == 0) {
-    return Status::Internal("answer for unknown query id");
-  }
+Status Eca::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
+  (void)ctx;
+  WVM_RETURN_IF_ERROR(uqs_.Answer(a.query_id));
   if (options_.apply_immediately) {
     InstallDelta(a.Sum());
     return Status::OK();
@@ -93,11 +87,6 @@ Status Eca::FoldAnswer(const AnswerMessage& a) {
   collect_.Add(a.Sum());
   MaybeInstall();
   return Status::OK();
-}
-
-Status Eca::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
-  (void)ctx;
-  return FoldAnswer(a);
 }
 
 std::shared_ptr<const MaintainerSnapshot> Eca::SnapshotState() const {
@@ -123,7 +112,7 @@ void Eca::LoseVolatileState() {
   // MV persists on warehouse disk; UQS and COLLECT were in memory. Pending
   // answers will now hit "answer for unknown query id" or, worse, silently
   // never install — the lost-state anomaly the recovery journal exists for.
-  uqs_.clear();
+  uqs_.Clear();
   collect_.Clear();
 }
 

@@ -3,8 +3,8 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
+#include "core/uqs.h"
 #include "core/warehouse.h"
 
 namespace wvm {
@@ -55,13 +55,13 @@ class Eca : public ViewMaintainer {
 
   /// The current unanswered query set, keyed by query id (exposed for
   /// tests that assert UQS evolution against the paper's examples).
-  const std::map<uint64_t, Query>& uqs() const { return uqs_; }
+  const std::map<uint64_t, Query>& uqs() const { return uqs_.queries(); }
   /// The COLLECT relation.
   const Relation& collect() const { return collect_; }
 
   /// ECA's recoverable state: MV plus the UQS and COLLECT progress.
   struct Snapshot : MaintainerSnapshot {
-    std::map<uint64_t, Query> uqs;
+    UnansweredQueries uqs;
     Relation collect;
   };
   std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
@@ -87,11 +87,8 @@ class Eca : public ViewMaintainer {
   /// Installs COLLECT into MV when UQS is empty.
   void MaybeInstall();
 
-  /// Folds an answer into COLLECT and installs when UQS drains.
-  Status FoldAnswer(const AnswerMessage& a);
-
   Options options_;
-  std::map<uint64_t, Query> uqs_;
+  UnansweredQueries uqs_;
   Relation collect_;
 };
 

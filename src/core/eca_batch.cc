@@ -19,9 +19,7 @@ Status EcaBatch::OnBatch(const std::vector<Update>& batch,
     t.set_delta_update_id(batch.back().id);
     tagged.AddTerm(std::move(t));
   }
-  for (const auto& [id, pending] : uqs_) {
-    tagged.SubtractTerms(pending.InclusionExclusionSubstitute(batch));
-  }
+  uqs_.Compensate(batch, &tagged);
   return SendAndTrack(std::move(tagged), ctx);
 }
 

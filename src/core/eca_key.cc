@@ -19,42 +19,11 @@ Status EcaKey::Initialize(const Catalog& initial_source_state) {
   return Status::OK();
 }
 
-Status EcaKey::KeyDelete(const Update& u, Relation* working) const {
-  WVM_ASSIGN_OR_RETURN(auto constraints, view_->KeyConstraintsFor(u));
-  std::vector<Tuple> doomed;
-  for (const auto& [t, c] : working->entries()) {
-    (void)c;
-    bool match = true;
-    for (const auto& [column, value] : constraints) {
-      if (!(t.value(column) == value)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      doomed.push_back(t);
-    }
-  }
-  for (const Tuple& t : doomed) {
-    working->Insert(t, -working->CountOf(t));
-  }
-  return Status::OK();
-}
-
 bool EcaKey::SupersededByKeyDelete(const Tuple& t,
                                    uint64_t answer_update_id) const {
   for (const LoggedKeyDelete& kd : key_delete_log_) {
-    if (kd.update_id <= answer_update_id) {
-      continue;  // the answer's update is newer than the delete
-    }
-    bool match = true;
-    for (const auto& [column, value] : kd.constraints) {
-      if (!(t.value(column) == value)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
+    // Only a delete newer than the answer's update supersedes it.
+    if (kd.update_id > answer_update_id && RowMatches(t, kd.constraints)) {
       return true;
     }
   }
@@ -75,12 +44,12 @@ Status EcaKey::OnUpdate(const Update& u, WarehouseContext* ctx) {
   }
   if (u.kind == UpdateKind::kDelete) {
     // Handled locally: no query to the source.
-    WVM_RETURN_IF_ERROR(KeyDelete(u, &collect_));
+    WVM_ASSIGN_OR_RETURN(ColumnValues key, view_->KeyConstraintsFor(u));
+    collect_.Add(KeyDeleteDelta(collect_, key));
     if (!uqs_.empty()) {
       // A pending insert answer may still carry this key (it is bound
       // inside the query); remember the delete so the re-add is ignored.
-      WVM_ASSIGN_OR_RETURN(auto constraints, view_->KeyConstraintsFor(u));
-      key_delete_log_.push_back(LoggedKeyDelete{u.id, std::move(constraints)});
+      key_delete_log_.push_back(LoggedKeyDelete{u.id, std::move(key)});
     }
     MaybeInstall();
     return Status::OK();

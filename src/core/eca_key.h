@@ -50,12 +50,8 @@ class EcaKey : public ViewMaintainer {
   /// updates older than the delete.
   struct LoggedKeyDelete {
     uint64_t update_id;
-    std::vector<std::pair<size_t, Value>> constraints;
+    ColumnValues constraints;
   };
-
-  /// Removes from `working` every tuple matching the key values `u`
-  /// carries — the special key-delete(V, r, t) operation.
-  Status KeyDelete(const Update& u, Relation* working) const;
 
   /// True if `t` matches a logged key-delete newer than `answer_update_id`.
   bool SupersededByKeyDelete(const Tuple& t, uint64_t answer_update_id) const;

@@ -23,20 +23,15 @@ Status EcaLocal::OnUpdate(const Update& u, WarehouseContext* ctx) {
     ++local_updates_;
     std::optional<Term> term = ViewSubstituted(u);
     WVM_ASSIGN_OR_RETURN(Relation delta, EvaluateTerm(*term, Catalog()));
-    PendingOp op;
-    op.kind = PendingOp::Kind::kDelta;
-    op.delta = std::move(delta);
-    pending_.emplace(u.id, std::move(op));
+    pending_.Open(u.id, std::move(delta));
     ApplyAndMaybeInstall();
     return Status::OK();
   }
 
   if (IsLocalDelete(u)) {
     ++local_updates_;
-    PendingOp op;
-    op.kind = PendingOp::Kind::kKeyDelete;
-    WVM_ASSIGN_OR_RETURN(op.key_constraints, view_->KeyConstraintsFor(u));
-    pending_.emplace(u.id, std::move(op));
+    WVM_ASSIGN_OR_RETURN(ColumnValues key, view_->KeyConstraintsFor(u));
+    pending_.OpenKeyDelete(u.id, std::move(key));
     ApplyAndMaybeInstall();
     return Status::OK();
   }
@@ -45,27 +40,18 @@ Status EcaLocal::OnUpdate(const Update& u, WarehouseContext* ctx) {
   ++remote_updates_;
   std::optional<Term> term = ViewSubstituted(u);
   Query q(ctx->NextQueryId(), u.id, {std::move(*term)});
-  for (const auto& [id, pending_query] : uqs_) {
-    q.SubtractTerms(pending_query.Substitute(u));
-  }
-  PendingOp op;
-  op.kind = PendingOp::Kind::kDelta;
-  op.delta = Relation(view_->output_schema());
-  pending_.emplace(u.id, std::move(op));
+  uqs_.Compensate(u, &q);
+  pending_.Open(u.id, Relation(view_->output_schema()));
 
   // Fully-bound terms are state-independent: fold them into their target
   // delta right away instead of shipping them (same optimization as ECA).
   Query remote(q.id(), q.update_id(), {});
   for (const Term& t : q.terms()) {
-    auto it = pending_.find(t.delta_update_id());
-    if (it == pending_.end()) {
-      return Status::Internal("compensating term tags unknown update");
-    }
     if (t.NumBound() == view_->num_relations()) {
       WVM_ASSIGN_OR_RETURN(Relation part, EvaluateTerm(t, Catalog()));
-      it->second.delta.Add(part);
+      WVM_RETURN_IF_ERROR(pending_.AddLocal(t.delta_update_id(), part));
     } else {
-      ++it->second.open_terms;
+      WVM_RETURN_IF_ERROR(pending_.CountTerm(t.delta_update_id()));
       remote.AddTerm(t);
     }
   }
@@ -73,53 +59,27 @@ Status EcaLocal::OnUpdate(const Update& u, WarehouseContext* ctx) {
     ApplyAndMaybeInstall();
     return Status::OK();
   }
-  uqs_.emplace(q.id(), std::move(q));
+  uqs_.Add(std::move(q));
   ctx->SendQuery(std::move(remote));
   return Status::OK();
 }
 
 Status EcaLocal::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
   (void)ctx;
-  if (uqs_.erase(a.query_id) == 0) {
-    return Status::Internal("answer for unknown query id");
-  }
-  for (size_t i = 0; i < a.per_term.size(); ++i) {
-    auto it = pending_.find(a.term_delta_tags[i]);
-    if (it == pending_.end()) {
-      return Status::Internal("answer term tags unknown update");
-    }
-    it->second.delta.Add(a.per_term[i]);
-    --it->second.open_terms;
-  }
+  WVM_RETURN_IF_ERROR(uqs_.Answer(a.query_id));
+  WVM_RETURN_IF_ERROR(pending_.Fold(a));
   ApplyAndMaybeInstall();
   return Status::OK();
 }
 
 void EcaLocal::ApplyAndMaybeInstall() {
-  while (!pending_.empty() && pending_.begin()->second.open_terms == 0) {
-    PendingOp& op = pending_.begin()->second;
-    if (op.kind == PendingOp::Kind::kDelta) {
-      staged_.Add(op.delta);
+  TaggedDeltas::Entry op;
+  while (pending_.PopComplete(&op)) {
+    if (op.key_delete.has_value()) {
+      staged_.Add(KeyDeleteDelta(staged_, *op.key_delete));
     } else {
-      std::vector<Tuple> doomed;
-      for (const auto& [t, c] : staged_.entries()) {
-        (void)c;
-        bool match = true;
-        for (const auto& [column, value] : op.key_constraints) {
-          if (!(t.value(column) == value)) {
-            match = false;
-            break;
-          }
-        }
-        if (match) {
-          doomed.push_back(t);
-        }
-      }
-      for (const Tuple& t : doomed) {
-        staged_.Insert(t, -staged_.CountOf(t));
-      }
+      staged_.Add(op.delta);
     }
-    pending_.erase(pending_.begin());
   }
   if (uqs_.empty() && pending_.empty()) {
     ReplaceView(staged_);
@@ -150,8 +110,8 @@ Status EcaLocal::RestoreState(const MaintainerSnapshot& snapshot) {
 void EcaLocal::LoseVolatileState() {
   // MV persists; UQS, the operation buffer, and the staged view were
   // volatile. The staged view restarts from MV.
-  uqs_.clear();
-  pending_.clear();
+  uqs_.Clear();
+  pending_.Clear();
   staged_ = view_contents();
 }
 

@@ -1,10 +1,9 @@
 #ifndef WVM_CORE_ECA_LOCAL_H_
 #define WVM_CORE_ECA_LOCAL_H_
 
-#include <map>
 #include <string>
-#include <vector>
 
+#include "core/uqs.h"
 #include "core/warehouse.h"
 
 namespace wvm {
@@ -59,14 +58,6 @@ class EcaLocal : public ViewMaintainer {
   void LoseVolatileState() override;
 
  private:
-  struct PendingOp {
-    enum class Kind { kDelta, kKeyDelete };
-    Kind kind = Kind::kDelta;
-    Relation delta;  // kDelta
-    std::vector<std::pair<size_t, Value>> key_constraints;  // kKeyDelete
-    int open_terms = 0;
-  };
-
   bool IsLocalDelete(const Update& u) const;
   bool IsSingleRelationView() const { return view_->num_relations() == 1; }
 
@@ -78,13 +69,13 @@ class EcaLocal : public ViewMaintainer {
   /// buffer, and the staged working view. The diagnostic counters are
   /// deliberately excluded — they describe the run, not the view.
   struct Snapshot : MaintainerSnapshot {
-    std::map<uint64_t, Query> uqs;
-    std::map<uint64_t, PendingOp> pending;
+    UnansweredQueries uqs;
+    TaggedDeltas pending;
     Relation staged;
   };
 
-  std::map<uint64_t, Query> uqs_;
-  std::map<uint64_t, PendingOp> pending_;
+  UnansweredQueries uqs_;
+  TaggedDeltas pending_;  // one operation per update, in update order
   Relation staged_;
   int64_t local_updates_ = 0;
   int64_t remote_updates_ = 0;

@@ -62,7 +62,7 @@ Result<std::vector<Term>> EcaSc::BindReplicatedPositions(
         }
         // Equality constraints from already-bound positions onto p's
         // columns.
-        std::vector<std::pair<size_t, Value>> constraints;
+        ColumnValues constraints;
         for (const ViewDefinition::EquiEdge& e : view.equi_edges()) {
           for (const auto& [mine, other] :
                {std::pair<size_t, size_t>{e.left_column, e.right_column},
@@ -88,14 +88,7 @@ Result<std::vector<Term>> EcaSc::BindReplicatedPositions(
         }
         changed = true;
         for (const auto& [row, count] : replica->entries()) {
-          bool match = true;
-          for (const auto& [col, value] : constraints) {
-            if (!(row.value(col) == value)) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) {
+          if (!RowMatches(row, constraints)) {
             continue;
           }
           std::optional<Term> bound =

@@ -1,14 +1,16 @@
 #include "core/factory.h"
 
+#include <set>
+
 #include "common/strings.h"
 #include "core/basic.h"
 #include "core/eca.h"
 #include "core/eca_batch.h"
 #include "core/eca_key.h"
 #include "core/eca_local.h"
+#include "core/eca_sc.h"
 #include "core/lca.h"
 #include "core/rv.h"
-#include "core/sc.h"
 
 namespace wvm {
 
@@ -82,9 +84,16 @@ Result<std::unique_ptr<ViewMaintainer>> MakeMaintainer(
     case Algorithm::kRv:
       return std::unique_ptr<ViewMaintainer>(
           std::make_unique<RecomputeView>(std::move(view), spec.rv_period));
-    case Algorithm::kSc:
-      return std::unique_ptr<ViewMaintainer>(
-          std::make_unique<StoreCopies>(std::move(view)));
+    case Algorithm::kSc: {
+      // SC (Section 1.2) is ECA-SC with every view relation replicated:
+      // every term evaluates against the replicas and no query is sent.
+      std::set<std::string> every_relation;
+      for (const BaseRelationDef& def : view->relations()) {
+        every_relation.insert(def.name);
+      }
+      return std::unique_ptr<ViewMaintainer>(std::make_unique<EcaSc>(
+          std::move(view), std::move(every_relation)));
+    }
     case Algorithm::kEcaBatch:
       return std::unique_ptr<ViewMaintainer>(
           std::make_unique<EcaBatch>(std::move(view)));

@@ -1,9 +1,9 @@
 #ifndef WVM_CORE_LCA_H_
 #define WVM_CORE_LCA_H_
 
-#include <map>
 #include <string>
 
+#include "core/uqs.h"
 #include "core/warehouse.h"
 
 namespace wvm {
@@ -39,7 +39,6 @@ class Lca : public ViewMaintainer {
 
   std::string name() const override { return "lca"; }
 
-  Status Initialize(const Catalog& initial_source_state) override;
   Status OnUpdate(const Update& u, WarehouseContext* ctx) override;
   Status OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) override;
   bool IsQuiescent() const override {
@@ -48,26 +47,22 @@ class Lca : public ViewMaintainer {
 
   std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
   Status RestoreState(const MaintainerSnapshot& snapshot) override;
+  void LoseVolatileState() override;
 
  private:
-  struct PendingDelta {
-    Relation delta;
-    int open_terms = 0;
-  };
-
   /// LCA's recoverable state: MV plus UQS and the per-update deltas still
   /// being assembled.
   struct Snapshot : MaintainerSnapshot {
-    std::map<uint64_t, Query> uqs;
-    std::map<uint64_t, PendingDelta> pending;
+    UnansweredQueries uqs;
+    TaggedDeltas pending;
   };
 
   /// Applies, in update order, every leading delta whose terms have all
   /// been answered.
   void ApplyCompletedPrefix(WarehouseContext* ctx);
 
-  std::map<uint64_t, Query> uqs_;          // query id -> pending query
-  std::map<uint64_t, PendingDelta> pending_;  // update id -> delta state
+  UnansweredQueries uqs_;
+  TaggedDeltas pending_;  // update id -> delta under assembly
 };
 
 }  // namespace wvm

@@ -219,6 +219,11 @@ Status MultiViewWarehouse::OnAnswer(const AnswerMessage& a,
     mine.query_id = sub.query_id;
     mine.update_id = sub.update_id;
     for (const TermSub& ts : sub.terms) {
+      if (ts.shared_term >= a.per_term.size()) {
+        return Status::Internal(
+            StrCat("answer for shared query ", a.query_id,
+                   " lacks the result of term ", ts.shared_term));
+      }
       mine.term_delta_tags.push_back(ts.delta_tag);
       mine.per_term.push_back(a.per_term[ts.shared_term].Scaled(ts.sign));
     }

@@ -44,9 +44,19 @@ Status RecomputeView::RestoreState(const MaintainerSnapshot& snapshot) {
   return Status::OK();
 }
 
+void RecomputeView::LoseVolatileState() {
+  // MV persists; both counters were in memory.
+  count_ = 0;
+  outstanding_ = 0;
+}
+
 Status RecomputeView::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
   (void)ctx;
-  --outstanding_;
+  // A recomputation sent before a bare crash may still arrive: it installs,
+  // but the in-flight count forgot it.
+  if (outstanding_ > 0) {
+    --outstanding_;
+  }
   // Replace, not merge: the answer is the whole view at some source state.
   ReplaceView(a.Sum());
   return Status::OK();

@@ -31,6 +31,7 @@ class RecomputeView : public ViewMaintainer {
 
   std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
   Status RestoreState(const MaintainerSnapshot& snapshot) override;
+  void LoseVolatileState() override;
 
  private:
   /// RV's recoverable state: MV plus its two counters.

@@ -499,7 +499,7 @@ Status SelfMaintainer::ProcessWithComplements(Query q, WarehouseContext* ctx,
       ++fallbacks_;
     }
     // Only the unanswered remainder needs future compensation.
-    uqs_.emplace(q.id(), remote);
+    uqs_.Add(remote);
     ctx->SendQuery(std::move(remote));
   } else {
     ++local_updates_;
@@ -509,22 +509,11 @@ Status SelfMaintainer::ProcessWithComplements(Query q, WarehouseContext* ctx,
 }
 
 Status SelfMaintainer::KeyDeleteLocally(const Update& u) {
-  WVM_ASSIGN_OR_RETURN(auto constraints, view_->KeyConstraintsFor(u));
+  WVM_ASSIGN_OR_RETURN(ColumnValues key, view_->KeyConstraintsFor(u));
   // UQS is empty, so COLLECT is empty and MV is current: the delta is minus
   // every view row carrying u's key values (key uniqueness + projected keys
   // mean exactly the rows derived from the deleted tuple).
-  for (const auto& [t, count] : view_contents().entries()) {
-    bool match = true;
-    for (const auto& [column, value] : constraints) {
-      if (!(t.value(column) == value)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      collect_.Insert(t, -count);
-    }
-  }
+  collect_.Add(KeyDeleteDelta(view_contents(), key));
   MaybeInstall();
   return Status::OK();
 }

@@ -23,11 +23,11 @@ Status MsEca::OnUpdate(size_t source, const Update& u, MsContext* ctx) {
   term->set_delta_update_id(u.id);
   Query q(ctx->NextQueryId(), u.id, {std::move(*term)});
 
-  // Compensate pending queries whose fragment from u's source is still in
-  // flight: per-source FIFO guarantees that fragment will reflect u.
-  for (const auto& [id, pending] : pending_) {
+  // u overtakes every pending query still awaiting a fragment from u's
+  // source: per-source FIFO guarantees that fragment will reflect u.
+  for (auto& [id, pending] : pending_) {
     if (pending.awaiting_source.count(source) > 0) {
-      q.SubtractTerms(pending.query.Substitute(u));
+      Overtaken(u, &pending, &q);
     }
   }
 
@@ -93,9 +93,22 @@ Status MsEca::OnFragments(size_t source, const FragmentAnswer& answer,
   return Status::OK();
 }
 
+void MsEca::Overtaken(const Update& u, PendingQuery* pending, Query* q) {
+  q->SubtractTerms(pending->query.Substitute(u));
+}
+
 Status MsEca::Fold(PendingQuery* pending) {
   WVM_ASSIGN_OR_RETURN(Relation delta,
                        EvaluateQuery(pending->query, pending->fragments));
+  if (!pending->rewound.empty()) {
+    // delta = Q[frags] - IncExc(Q, rewound)[frags]: the same snapshot
+    // serves both the value and its rewind.
+    Query rewind =
+        pending->query.InclusionExclusionSubstitute(pending->rewound);
+    WVM_ASSIGN_OR_RETURN(Relation correction,
+                         EvaluateQuery(rewind, pending->fragments));
+    delta.Add(correction.Negated());
+  }
   collect_.Add(delta);
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "multisource/ms_maintainer.h"
 #include "query/query.h"
@@ -62,15 +63,27 @@ class MsEca : public MsMaintainer {
                      MsContext* ctx) override;
   bool IsQuiescent() const override { return pending_.empty(); }
 
- private:
+ protected:
   struct PendingQuery {
     Query query;
     Catalog fragments;                 // arrived relation snapshots
     std::set<std::string> missing;     // relation names still awaited
     std::set<size_t> awaiting_source;  // sources not yet answered
+    /// Updates the fragments will show but the query must not: the fold
+    /// rewinds the answer past them on the query's own fragments.
+    std::vector<Update> rewound;
   };
 
-  /// Evaluates a fully-fragmented query and folds it into COLLECT.
+  /// Called while a relevant update u is processed, once per pending query
+  /// u overtakes: one whose fragment from u's source is still in flight,
+  /// so per-source FIFO guarantees that fragment will already reflect u.
+  /// `q` is u's own query under construction. MsEca compensates there,
+  /// q -= pending.query<u>.
+  virtual void Overtaken(const Update& u, PendingQuery* pending, Query* q);
+
+ private:
+  /// Evaluates a fully-fragmented query, rewound past its `rewound`
+  /// updates, and folds it into COLLECT.
   Status Fold(PendingQuery* pending);
   void MaybeInstall();
 

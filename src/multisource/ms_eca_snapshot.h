@@ -1,13 +1,9 @@
 #ifndef WVM_MULTISOURCE_MS_ECA_SNAPSHOT_H_
 #define WVM_MULTISOURCE_MS_ECA_SNAPSHOT_H_
 
-#include <map>
-#include <set>
 #include <string>
-#include <vector>
 
-#include "multisource/ms_maintainer.h"
-#include "query/query.h"
+#include "multisource/ms_eca.h"
 
 namespace wvm {
 
@@ -24,9 +20,12 @@ namespace wvm {
 /// apply compensation to the very snapshot it compensates.
 ///
 ///   * Each update's query is just V<U>; nothing rides along.
-///   * While a query P still awaits a fragment from source s, every update
-///     u arriving from s is recorded in P's rewind list (per-source FIFO
-///     guarantees s's eventual fragment will already reflect u).
+///   * While a query P still awaits a fragment from source s, every
+///     relevant update u arriving from s is recorded in P's rewind list:
+///     per-source FIFO guarantees s's eventual fragment will already
+///     reflect u (an irrelevant update changes no term). This is the one
+///     difference from MsEca, which compensates at that point;
+///     the bookkeeping and the rewinding fold are MsEca's own.
 ///   * When P's fragments are complete, its delta is evaluated entirely on
 ///     its own fragment set, rewound to P's creation point:
 ///
@@ -49,33 +48,16 @@ namespace wvm {
 /// The price is unchanged from MsEca: whole-relation fragments per query
 /// (RV-like shipping). Avoiding THAT cost — incremental multi-source
 /// queries — is the part that genuinely needs the later Strobe machinery.
-class MsEcaSnapshot : public MsMaintainer {
+class MsEcaSnapshot : public MsEca {
  public:
-  explicit MsEcaSnapshot(ViewDefinitionPtr view)
-      : MsMaintainer(std::move(view)) {}
+  explicit MsEcaSnapshot(ViewDefinitionPtr view) : MsEca(std::move(view)) {}
 
   std::string name() const override { return "ms-eca-snapshot"; }
 
-  Status Initialize(const Catalog& initial) override;
-  Status OnUpdate(size_t source, const Update& u, MsContext* ctx) override;
-  Status OnFragments(size_t source, const FragmentAnswer& answer,
-                     MsContext* ctx) override;
-  bool IsQuiescent() const override { return pending_.empty(); }
-
- private:
-  struct PendingQuery {
-    Query query;  // V<U> only
-    Catalog fragments;
-    std::set<std::string> missing;
-    std::set<size_t> awaiting_source;
-    std::vector<Update> rewound;  // updates the fragments must not show
-  };
-
-  Status Fold(PendingQuery* pending);
-  void MaybeInstall();
-
-  std::map<uint64_t, PendingQuery> pending_;
-  Relation collect_;
+ protected:
+  /// Nothing rides u's query: u joins the overtaken query's rewind list,
+  /// and MsEca's fold undoes it on that query's own fragments.
+  void Overtaken(const Update& u, PendingQuery* pending, Query* q) override;
 };
 
 }  // namespace wvm

@@ -258,8 +258,7 @@ Result<size_t> ViewDefinition::RelationIndex(const std::string& name) const {
       StrCat("relation '", name, "' not part of view ", name_));
 }
 
-Result<std::vector<std::pair<size_t, Value>>> ViewDefinition::KeyConstraintsFor(
-    const Update& u) const {
+Result<ColumnValues> ViewDefinition::KeyConstraintsFor(const Update& u) const {
   WVM_ASSIGN_OR_RETURN(size_t ri, RelationIndex(u.relation));
   const BaseRelationDef& rel = relations_[ri];
   if (u.tuple.size() != rel.schema.size()) {
@@ -274,7 +273,7 @@ Result<std::vector<std::pair<size_t, Value>>> ViewDefinition::KeyConstraintsFor(
         StrCat("relation ", rel.name,
                " has no declared key; ECA-Key inapplicable"));
   }
-  std::vector<std::pair<size_t, Value>> constraints;
+  ColumnValues constraints;
   for (const std::string& attr : key->attrs) {
     std::optional<size_t> a = rel.schema.IndexOf(attr);
     size_t combined_index = relation_offsets_[ri] + *a;
@@ -290,6 +289,25 @@ Result<std::vector<std::pair<size_t, Value>>> ViewDefinition::KeyConstraintsFor(
     constraints.emplace_back(output_column, u.tuple.value(*a));
   }
   return constraints;
+}
+
+bool RowMatches(const Tuple& row, const ColumnValues& constraints) {
+  for (const auto& [column, value] : constraints) {
+    if (!(row.value(column) == value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Relation KeyDeleteDelta(const Relation& view, const ColumnValues& key) {
+  Relation delta(view.schema());
+  for (const auto& [row, count] : view.entries()) {
+    if (RowMatches(row, key)) {
+      delta.Insert(row, -count);
+    }
+  }
+  return delta;
 }
 
 Result<size_t> ViewDefinition::CombinedIndexOf(const std::string& relation,

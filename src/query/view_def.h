@@ -18,6 +18,19 @@ namespace wvm {
 
 class CompiledDeltaPlan;
 
+/// Equality constraints on a row: pairs of (column index, required value).
+/// ECA-Key's key-delete states its target rows this way, and so does
+/// ECA-SC's bind-join against a replica.
+using ColumnValues = std::vector<std::pair<size_t, Value>>;
+
+/// True when `row` carries every (column, value) pair of `constraints`.
+bool RowMatches(const Tuple& row, const ColumnValues& constraints);
+
+/// The key-delete of ECA-Key (Section 5.4) as a delta: minus every row of
+/// `view` that matches `key` (from ViewDefinition::KeyConstraintsFor), at
+/// its full multiplicity. Adding it to `view` removes those rows.
+Relation KeyDeleteDelta(const Relation& view, const ColumnValues& key);
+
 /// A warehouse view in the paper's normal form (Section 4):
 ///
 ///     V = pi_proj( sigma_cond( r1 x r2 x ... x rn ) )
@@ -111,9 +124,8 @@ class ViewDefinition {
   /// by deleting/inserting `u.tuple` in `u.relation` — pairs of (output
   /// column index, key value), one per attribute of the relation's declared
   /// KeySpec. The key-delete operation of ECA-Key removes every view tuple
-  /// matching all constraints.
-  Result<std::vector<std::pair<size_t, Value>>> KeyConstraintsFor(
-      const Update& u) const;
+  /// matching all constraints (KeyDeleteDelta).
+  Result<ColumnValues> KeyConstraintsFor(const Update& u) const;
 
   /// Index of relation `relation`'s attribute `attr` in the combined
   /// schema (offset + position; resolves regardless of name qualification).

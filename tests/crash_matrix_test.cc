@@ -26,8 +26,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/deferred.h"
 #include "core/eca.h"
 #include "core/eca_key.h"
+#include "core/lca.h"
 #include "core/multi_view.h"
 #include "replication/replicated_simulation.h"
 #include "test_util.h"
@@ -433,6 +435,89 @@ TEST(CrashRecoveryTest, RecoveryWithoutCrashesIsObservablyIdentical) {
   // above is not vacuous).
   EXPECT_GT(with->warehouse_log().inbound.end_lsn(), 0u);
   EXPECT_GT(with->source_log().inbound.end_lsn(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// 3e. A bare crash loses all RAM: with recovery disabled, every maintainer
+// (and every wrapper around one) comes back from CrashWarehouse() holding
+// MV and nothing else — no pending query, no buffered update or delta.
+
+// Example 4 on a clean reliable wire without recovery, stepped until U1's
+// notification has been processed at the warehouse (its query, if the
+// maintainer sends one, is in flight). Fails with the maintainer's
+// Initialize error when the example does not admit it.
+Result<std::unique_ptr<Simulation>> Example4WithQueryInFlight(
+    const PaperExample& ex, std::unique_ptr<ViewMaintainer> maintainer) {
+  SimulationOptions options;
+  options.fault = ReliableTransport(/*seed=*/3, /*faulty=*/false);
+  WVM_ASSIGN_OR_RETURN(std::unique_ptr<Simulation> sim,
+                       Simulation::Create(ex.initial, ex.view,
+                                          std::move(maintainer), options));
+  sim->SetUpdateScript(ex.updates);
+  WVM_RETURN_IF_ERROR(sim->StepSourceUpdate());
+  for (int guard = 0; !sim->CanWarehouseStep(); ++guard) {
+    if (guard > 10000 || !sim->CanTransportTick()) {
+      return Status::Internal("U1 never reached the warehouse");
+    }
+    WVM_RETURN_IF_ERROR(sim->StepTransportTick());
+  }
+  WVM_RETURN_IF_ERROR(sim->StepWarehouse());
+  return sim;
+}
+
+TEST(BareCrashTest, EveryMaintainerLosesItsVolatileState) {
+  Result<PaperExample> ex = MakePaperExample4();
+  ASSERT_TRUE(ex.ok()) << ex.status();
+  std::vector<std::unique_ptr<ViewMaintainer>> maintainers;
+  for (Algorithm a : AllAlgorithms()) {
+    maintainers.push_back(MustMakeMaintainer({.algorithm = a}, ex->view));
+  }
+  maintainers.push_back(
+      std::make_unique<Deferred>(std::make_unique<Eca>(ex->view), 1));
+  std::vector<std::unique_ptr<ViewMaintainer>> children;
+  children.push_back(std::make_unique<Eca>(ex->view));
+  children.push_back(std::make_unique<Lca>(ex->view));
+  maintainers.push_back(
+      std::make_unique<MultiViewWarehouse>(std::move(children)));
+
+  int crashed = 0;
+  for (std::unique_ptr<ViewMaintainer>& m : maintainers) {
+    const std::string name = m->name();
+    SCOPED_TRACE(name);
+    Result<std::unique_ptr<Simulation>> sim =
+        Example4WithQueryInFlight(*ex, std::move(m));
+    if (sim.status().code() == StatusCode::kFailedPrecondition) {
+      continue;  // ECA-Key: Example 4's view declares no keys
+    }
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    ASSERT_TRUE((*sim)->CrashWarehouse().ok());
+    EXPECT_TRUE((*sim)->maintainer().IsQuiescent());
+    ++crashed;
+  }
+  // Every algorithm but ECA-Key, plus Deferred and the multi-view warehouse.
+  EXPECT_EQ(crashed, static_cast<int>(AllAlgorithms().size()) + 1);
+}
+
+TEST(BareCrashTest, RecomputationAnsweredAfterTheCrashStillInstalls) {
+  // RV forgets its in-flight count in the crash, but the recomputation it
+  // sent before is still on the wire: it installs V at the source's state
+  // and leaves the count at zero rather than below it.
+  Result<PaperExample> ex = MakePaperExample4();
+  ASSERT_TRUE(ex.ok()) << ex.status();
+  ex->updates.resize(1);
+  Result<std::unique_ptr<Simulation>> sim = Example4WithQueryInFlight(
+      *ex, MustMakeMaintainer({.algorithm = Algorithm::kRv}, ex->view));
+  ASSERT_TRUE(sim.ok()) << sim.status();
+  ASSERT_FALSE((*sim)->maintainer().IsQuiescent());
+  ASSERT_TRUE((*sim)->CrashWarehouse().ok());
+  ASSERT_TRUE((*sim)->RestartWarehouse().ok());
+  BestCasePolicy policy;
+  ASSERT_TRUE(RunToQuiescence(sim->get(), &policy).ok());
+  EXPECT_EQ((*sim)->meter().answer_messages(), 1);
+  EXPECT_TRUE((*sim)->maintainer().IsQuiescent());
+  Result<Relation> source_view = (*sim)->SourceViewNow();
+  ASSERT_TRUE(source_view.ok()) << source_view.status();
+  EXPECT_EQ((*sim)->warehouse_view(), *source_view);
 }
 
 // ---------------------------------------------------------------------------

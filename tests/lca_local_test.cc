@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "consistency_reference.h"
+#include "core/eca.h"
+#include "core/eca_key.h"
 #include "core/eca_local.h"
 #include "core/lca.h"
 #include "test_util.h"
@@ -169,6 +171,55 @@ TEST(EcaLocalTest, FallsBackToEcaWithoutKeys) {
   EXPECT_EQ(local->meter().query_messages(), eca->meter().query_messages());
   EXPECT_EQ(local->meter().query_terms(), eca->meter().query_terms());
   EXPECT_EQ(local->warehouse_view(), eca->warehouse_view());
+}
+
+// --- Malformed answers -------------------------------------------------------
+
+// An answer whose tags do not line up with its term results cannot be split
+// per update: LCA and ECA-Local fold answers through the same per-update
+// buffer, and both refuse it.
+TEST(TaggedAnswerTest, TagsMisalignedWithResultsAreInternal) {
+  Result<PaperExample> ex = MakePaperExample4();
+  ASSERT_TRUE(ex.ok()) << ex.status();
+  std::vector<std::unique_ptr<ViewMaintainer>> maintainers;
+  maintainers.push_back(std::make_unique<Lca>(ex->view));
+  maintainers.push_back(std::make_unique<EcaLocal>(ex->view));
+  for (std::unique_ptr<ViewMaintainer>& m : maintainers) {
+    SCOPED_TRACE(m->name());
+    ASSERT_TRUE(m->Initialize(ex->initial).ok());
+    RecordingContext ctx;
+    Update u = ex->updates[0];
+    u.id = 1;
+    ASSERT_TRUE(m->OnUpdate(u, &ctx).ok());
+    ASSERT_EQ(ctx.sent.size(), 1u);
+    AnswerMessage a;
+    a.query_id = ctx.sent[0].id();
+    a.update_id = u.id;
+    a.per_term.push_back(Relation(ex->view->output_schema()));  // no tags
+    EXPECT_EQ(m->OnAnswer(a, &ctx).code(), StatusCode::kInternal);
+  }
+}
+
+// Every maintainer that tracks pending queries refuses an answer to a query
+// it never sent.
+TEST(UnansweredQueriesTest, AnswerForUnknownQueryIdIsInternal) {
+  Result<PaperExample> ex = MakePaperExample5();  // keyed: ECA-Key applies
+  ASSERT_TRUE(ex.ok()) << ex.status();
+  std::vector<std::unique_ptr<ViewMaintainer>> maintainers;
+  maintainers.push_back(std::make_unique<Eca>(ex->view));
+  maintainers.push_back(std::make_unique<EcaLocal>(ex->view));
+  maintainers.push_back(std::make_unique<Lca>(ex->view));
+  maintainers.push_back(std::make_unique<EcaKey>(ex->view));
+  for (std::unique_ptr<ViewMaintainer>& m : maintainers) {
+    SCOPED_TRACE(m->name());
+    ASSERT_TRUE(m->Initialize(ex->initial).ok());
+    RecordingContext ctx;
+    AnswerMessage a;
+    a.query_id = 42;
+    Status s = m->OnAnswer(a, &ctx);
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << s;
+    EXPECT_TRUE(m->IsQuiescent());
+  }
 }
 
 }  // namespace

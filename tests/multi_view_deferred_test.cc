@@ -211,6 +211,30 @@ TEST(MultiViewDedupTest, StructurallyIdenticalViewsShareOneTerm) {
   EXPECT_EQ(multi->child(1).view_contents(), *expected);
 }
 
+TEST(MultiViewDedupTest, SharedAnswerMissingTermResultsIsInternal) {
+  // r2 is in both views, so with dedup on the two children's queries merge
+  // into one shared query. An answer carrying fewer term results than the
+  // shared query has terms cannot be fanned back out.
+  TwoViewFixture f = TwoViewFixture::Make();
+  std::vector<std::unique_ptr<ViewMaintainer>> children;
+  children.push_back(std::make_unique<Eca>(f.v1));
+  children.push_back(std::make_unique<Eca>(f.v2));
+  MultiViewOptions mv_options;
+  mv_options.dedup = true;
+  MultiViewWarehouse multi(std::move(children), mv_options);
+  ASSERT_TRUE(multi.Initialize(f.initial).ok());
+  RecordingContext ctx;
+  Update u = Update::Insert("r2", Tuple::Ints({2, 7}));
+  u.id = 1;
+  ASSERT_TRUE(multi.OnUpdate(u, &ctx).ok());
+  ASSERT_EQ(ctx.sent.size(), 1u);
+  ASSERT_EQ(ctx.sent[0].NumTerms(), 2u);
+  AnswerMessage a;
+  a.query_id = ctx.sent[0].id();
+  a.update_id = u.id;
+  EXPECT_EQ(multi.OnAnswer(a, &ctx).code(), StatusCode::kInternal);
+}
+
 // Dedup on vs off must be observationally identical to every child: same
 // final contents, tuple for tuple, across random and adversarial
 // interleavings — the fan-out rebuilds each child's private answer exactly.

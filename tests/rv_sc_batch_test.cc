@@ -1,8 +1,8 @@
 // Behavioral tests for the RV and SC baselines and the EcaBatch extension.
 #include <gtest/gtest.h>
 
+#include "core/eca_sc.h"
 #include "core/rv.h"
-#include "core/sc.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -93,8 +93,10 @@ TEST(ScTest, NeverTalksToTheSource) {
 
 TEST(ScTest, ReplicasMirrorSourceRelations) {
   ChainFixture f = ChainFixture::Make(5, 6);
-  auto maintainer = std::make_unique<StoreCopies>(f.workload.view);
-  StoreCopies* sc = maintainer.get();
+  std::unique_ptr<ViewMaintainer> maintainer =
+      MustMakeMaintainer({.algorithm = Algorithm::kSc}, f.workload.view);
+  const auto* sc = dynamic_cast<const EcaSc*>(maintainer.get());
+  ASSERT_NE(sc, nullptr);
   Result<std::unique_ptr<Simulation>> sim =
       Simulation::Create(f.workload.initial, f.workload.view,
                          std::move(maintainer), SimulationOptions());
@@ -102,8 +104,9 @@ TEST(ScTest, ReplicasMirrorSourceRelations) {
   (*sim)->SetUpdateScript(f.updates);
   BestCasePolicy policy;
   ASSERT_TRUE(RunToQuiescence(sim->get(), &policy).ok());
-  for (const std::string& name : sc->copies().Names()) {
-    EXPECT_EQ(*sc->copies().Get(name).value(),
+  ASSERT_EQ(sc->replicas().Names().size(), f.workload.view->num_relations());
+  for (const std::string& name : sc->replicas().Names()) {
+    EXPECT_EQ(*sc->replicas().Get(name).value(),
               *(*sim)->source_catalog().Get(name).value())
         << name;
   }
@@ -120,8 +123,10 @@ TEST(ScTest, ReplicasMirrorSourceRelations) {
 
 TEST(ScTest, StorageOverheadReported) {
   ChainFixture f = ChainFixture::Make(6, 0);
-  auto maintainer = std::make_unique<StoreCopies>(f.workload.view);
-  StoreCopies* sc = maintainer.get();
+  std::unique_ptr<ViewMaintainer> maintainer =
+      MustMakeMaintainer({.algorithm = Algorithm::kSc}, f.workload.view);
+  const auto* sc = dynamic_cast<const EcaSc*>(maintainer.get());
+  ASSERT_NE(sc, nullptr);
   Result<std::unique_ptr<Simulation>> sim =
       Simulation::Create(f.workload.initial, f.workload.view,
                          std::move(maintainer), SimulationOptions());

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "consistency/checker.h"
 #include "consistency_reference.h"
@@ -18,6 +19,20 @@
 #include "workload/scenarios.h"
 
 namespace wvm {
+
+// A warehouse context with no channel behind it, for tests that drive a
+// maintainer's callbacks directly: it allocates query ids and keeps every
+// query the maintainer sends.
+class RecordingContext : public WarehouseContext {
+ public:
+  uint64_t NextQueryId() override { return next_query_id_++; }
+  void SendQuery(Query query) override { sent.push_back(std::move(query)); }
+
+  std::vector<Query> sent;
+
+ private:
+  uint64_t next_query_id_ = 1;
+};
 
 // Instantiates a maintainer from its declarative spec, failing the test on
 // any setup error.

@@ -140,6 +140,58 @@ TEST(ViewDefinitionTest, KeyConstraintsFailWithoutKeys) {
             StatusCode::kFailedPrecondition);
 }
 
+// The key-delete as a delta, case by case: it removes exactly the rows
+// matching every (column, value) pair, each at its full multiplicity.
+TEST(ViewDefinitionTest, KeyDeleteDeltaRemovesExactlyTheMatchingRows) {
+  using Rows = std::vector<std::pair<Tuple, int64_t>>;
+  struct Case {
+    const char* name;
+    Rows view;
+    ColumnValues key;
+    Rows delta;  // expected
+  };
+  const Value one(int64_t{1});
+  const Value two(int64_t{2});
+  const std::vector<Case> cases = {
+      {"two-column key",
+       {{Tuple::Ints({1, 2, 3}), 1},
+        {Tuple::Ints({1, 5, 3}), 1},
+        {Tuple::Ints({1, 2, 4}), 1}},
+       {{0, one}, {1, two}},
+       {{Tuple::Ints({1, 2, 3}), -1}, {Tuple::Ints({1, 2, 4}), -1}}},
+      {"row with count 3", {{Tuple::Ints({1, 7, 7}), 3}}, {{0, one}},
+       {{Tuple::Ints({1, 7, 7}), -3}}},
+      {"negative count", {{Tuple::Ints({2, 0, 0}), -2}}, {{0, two}},
+       {{Tuple::Ints({2, 0, 0}), 2}}},
+      {"row that does not match", {{Tuple::Ints({2, 1, 1}), 1}}, {{0, one}},
+       {}},
+      {"empty view", {}, {{0, one}}, {}},
+  };
+  const Schema schema = Schema::Ints({"A", "B", "C"});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Relation view(schema);
+    for (const auto& [row, count] : c.view) {
+      view.Insert(row, count);
+    }
+    Relation expected(schema);
+    for (const auto& [row, count] : c.delta) {
+      expected.Insert(row, count);
+    }
+    for (const auto& [row, count] : c.view) {
+      EXPECT_EQ(RowMatches(row, c.key), expected.CountOf(row) != 0)
+          << row.ToString();
+    }
+    const Relation delta = KeyDeleteDelta(view, c.key);
+    EXPECT_EQ(delta, expected);
+    view.Add(delta);
+    for (const auto& [row, count] : c.view) {
+      EXPECT_EQ(view.CountOf(row), expected.CountOf(row) != 0 ? 0 : count)
+          << row.ToString();
+    }
+  }
+}
+
 TEST(ViewDefinitionTest, ExtraConditionIsConjoined) {
   Result<ViewDefinitionPtr> v = ViewDefinition::NaturalJoin(
       "V", ChainDefs(), {"W", "Z"},

@@ -276,6 +276,33 @@ void BM_StoredWriteAfterShare(benchmark::State& state) {
 }
 BENCHMARK(BM_StoredWriteAfterShare)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// The fk-star `orders` layout: a unique order key O with no index, and the
+// referenced part P, four orders per part, clustered. The write deletes,
+// then re-inserts, one row.
+void BM_StoredWriteAfterShareUnindexedKey(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  std::vector<Tuple> rows;
+  rows.reserve(static_cast<size_t>(n));
+  for (int64_t o = 0; o < n; ++o) {
+    rows.push_back(Tuple::Ints({o, o % (n / 4)}));
+  }
+  StoredRelation head({"orders", Schema::Ints({"O", "P"})}, 20);
+  if (!head.AddIndex("P", /*clustered=*/true).ok() ||
+      !head.BulkLoad(std::move(rows)).ok()) {
+    std::abort();
+  }
+  Random rng(12);
+  const Tuple row = head.rows()[rng.Uniform(head.NumRows())];
+  TimeWriteAfterShare(state, std::move(head),
+                      [&row](StoredRelation& sr, bool insert) {
+                        return insert ? sr.Insert(row) : sr.Delete(row);
+                      });
+}
+BENCHMARK(BM_StoredWriteAfterShareUnindexedKey)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000);
+
 }  // namespace
 }  // namespace wvm::bench
 

@@ -54,17 +54,6 @@ bool ParseSegmentFileName(const std::string& file, const std::string& name,
   return true;
 }
 
-Status SyncDirectory(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Internal("wal: cannot open directory for fsync: " + dir);
-  }
-  // Some filesystems refuse fsync on directories; treat that as best-effort.
-  ::fsync(fd);
-  ::close(fd);
-  return Status::OK();
-}
-
 }  // namespace
 
 Status WalOptions::Validate() const {
@@ -360,7 +349,21 @@ Status WalWriter::OpenSegment(uint64_t first_lsn) {
   segments_.push_back(std::move(seg));
   has_active_ = true;
   ++stats_.segments_created;
-  return SyncDirectory(options_.dir);
+  return SyncDirectory();
+}
+
+Status WalWriter::SyncDirectory() {
+  if (!options_.fsync) return Status::OK();
+  int fd = ::open(options_.dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::Internal("wal: cannot open directory for fsync: " +
+                            options_.dir);
+  }
+  // Some filesystems refuse fsync on directories; treat that as best-effort.
+  ::fsync(fd);
+  ::close(fd);
+  ++stats_.dir_fsyncs;
+  return Status::OK();
 }
 
 Status WalWriter::CloseActiveSegment() {
@@ -390,7 +393,7 @@ Status WalWriter::TruncateBelow(uint64_t floor) {
     ++stats_.segments_dropped;
     dropped = true;
   }
-  if (dropped) WVM_RETURN_IF_ERROR(SyncDirectory(options_.dir));
+  if (dropped) WVM_RETURN_IF_ERROR(SyncDirectory());
   return Status::OK();
 }
 

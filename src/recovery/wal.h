@@ -23,15 +23,18 @@ namespace wvm {
 ///
 /// Segments are named `<name>-<first lsn, 20-digit decimal>.wal` so a
 /// directory listing sorts them in LSN order. A segment is closed once it
-/// reaches `segment_bytes`; truncation drops whole closed segments whose
-/// highest LSN falls below the checkpoint floor (segment drop, never
-/// in-place rewrite).
+/// reaches `segment_bytes`; truncation drops every whole segment whose
+/// highest LSN falls below the checkpoint floor — the active one too, once
+/// the floor passes its last record, so the next append opens a fresh
+/// segment (segment drop, never in-place rewrite).
 ///
 /// Appends are group-committed: records accumulate in a buffer that is
 /// written and fsynced only when `flush_appends` records or `flush_bytes`
 /// bytes are pending (or on an explicit Sync). `synced_end_lsn()` is the
 /// durability contract: every record below it survives a process kill, which
-/// is exactly what the crash-fuzz harness (wal_fuzz.h) checks.
+/// is exactly what the crash-fuzz harness (wal_fuzz.h) checks. With `fsync`
+/// off no flush is fsynced, and neither is the directory after a segment
+/// create or drop.
 ///
 /// Torn-tail rule on Open: segments are scanned in order, validating every
 /// header and checksum. A bad record at the tail of the LAST segment is a
@@ -52,8 +55,9 @@ struct WalOptions {
   int64_t flush_bytes = 1 << 16;
   /// ...or this many appends, whichever comes first. 1 = write-through.
   int flush_appends = 8;
-  /// fsync(2) on every flush. Off only for benchmarks that want to isolate
-  /// the buffering cost from the durability cost.
+  /// fsync(2) on every flush, and on the directory after every segment
+  /// create and drop. Off only for benchmarks that want to isolate the
+  /// buffering cost from the durability cost.
   bool fsync = true;
 
   Status Validate() const;
@@ -66,7 +70,11 @@ struct WalStats {
   int64_t appends = 0;
   int64_t appended_bytes = 0;
   int64_t flushes = 0;
+  /// fsyncs of segment files: one per flush while `fsync` is on.
   int64_t fsyncs = 0;
+  /// fsyncs of the segment directory while `fsync` is on: one per segment
+  /// created and one per TruncateBelow that dropped a segment.
+  int64_t dir_fsyncs = 0;
   int64_t segments_created = 0;
   int64_t segments_dropped = 0;
   /// Records recovered from existing segments by Open.
@@ -80,6 +88,7 @@ struct WalStats {
     appended_bytes += o.appended_bytes;
     flushes += o.flushes;
     fsyncs += o.fsyncs;
+    dir_fsyncs += o.dir_fsyncs;
     segments_created += o.segments_created;
     segments_dropped += o.segments_dropped;
     recovered_records += o.recovered_records;
@@ -151,8 +160,9 @@ class WalWriter {
   /// record is durable.
   Status Sync();
 
-  /// Deletes every segment whose records all have LSN < floor. Pending
-  /// records are flushed first so the active segment's bounds are exact.
+  /// Deletes every segment whose records all have LSN < floor, the active
+  /// one included. Pending records are flushed first so the active
+  /// segment's bounds are exact.
   /// Conservative by design: a segment straddling the floor is kept whole,
   /// so recovery may resurface records below the floor (replay is
   /// idempotent and checkpoints re-floor them).
@@ -190,6 +200,9 @@ class WalWriter {
   /// Opens a fresh segment whose first record will be `first_lsn`.
   Status OpenSegment(uint64_t first_lsn);
   Status CloseActiveSegment();
+  /// Makes a segment create or drop durable by fsyncing the directory;
+  /// a no-op with `fsync` off.
+  Status SyncDirectory();
 
   WalOptions options_;
   std::vector<Segment> segments_;  // oldest first; back() is active if open

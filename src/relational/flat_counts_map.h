@@ -28,22 +28,42 @@ namespace wvm {
 ///
 /// References into the map are stable until the next mutation (the join
 /// kernels index build-side tuples by pointer while the build relation is
-/// held const). Iteration order is unspecified, as with unordered_map.
+/// held const). Iteration is in slot order: unspecified, as with
+/// unordered_map, but a function of the map's insert and erase history that
+/// some callers depend on (the workload generator picks delete targets by
+/// position in it), so copies keep it exactly (see the copy constructor).
 class FlatCountsMap {
  public:
   using value_type = std::pair<Tuple, int64_t>;
 
   FlatCountsMap() = default;
 
-  /// Copies re-place the source's entries into a table sized for its live
-  /// entry count (plus `reserve_hint` expected additional inserts) instead
-  /// of duplicating the source's arrays verbatim. This is the Relation
-  /// copy-on-write clone path: sizing from the source map means a clone of
-  /// a once-large, now-sparse map shrinks, and a clone about to absorb an
-  /// Add of known size never rehashes mid-copy.
+  /// A copy is sized for the source's live entry count (plus
+  /// `reserve_hint` expected additional inserts) and laid out as if the
+  /// source's entries were re-placed into it in slot order. This is the
+  /// Relation copy-on-write clone path: sizing from the source map means a
+  /// clone of a once-large, now-sparse map shrinks, and a clone about to
+  /// absorb an Add of known size never rehashes mid-copy.
+  ///
+  /// When that size is the source's capacity — the steady state of a
+  /// relation shared with a checkpoint — the clone is an array copy:
+  /// linear probing re-places every entry where it already is, except the
+  /// run of occupied slots that wraps past the last slot, which is
+  /// re-placed as slot order would (see PlaceWrappedRunInSlotOrder). Either
+  /// way the copy's layout, and so its iteration order, is that of the
+  /// re-placing copy.
   FlatCountsMap(const FlatCountsMap& other) : FlatCountsMap(other, 0) {}
   FlatCountsMap(const FlatCountsMap& other, size_t reserve_hint) {
-    Rehash(CapacityFor(other.size_ + reserve_hint));
+    const size_t capacity = CapacityFor(other.size_ + reserve_hint);
+    if (capacity == other.hashes_.size()) {
+      hashes_ = other.hashes_;
+      slots_ = other.slots_;
+      size_ = other.size_;
+      shift_ = other.shift_;
+      PlaceWrappedRunInSlotOrder();
+      return;
+    }
+    Rehash(capacity);
     for (const auto& [t, c] : other) {
       EmplaceUnique(t, c);
     }
@@ -240,6 +260,47 @@ class FlatCountsMap {
           break;
         }
       }
+    }
+  }
+
+  // A slot-order re-placement into an empty table of the same capacity
+  // puts each entry of a cluster that does not wrap back in its own slot:
+  // the entries before it in the cluster are already in theirs, so its
+  // probe from its ideal slot stops where it is. The cluster that wraps
+  // past the last slot is different. Its entries from slot 0 on are
+  // re-placed first, while the slots at the end of the table are still
+  // free, so they can land elsewhere. Clears that run and re-places it in
+  // the same order: its part from slot 0 on, then its part up to the last
+  // slot. Every probe stays inside the run's slots, so the other entries,
+  // already in place, change nothing.
+  void PlaceWrappedRunInSlotOrder() {
+    const size_t cap = hashes_.size();
+    if (hashes_[0] == 0 || hashes_[cap - 1] == 0) {
+      return;
+    }
+    size_t head_end = 0;  // the run's part from slot 0 on: [0, head_end)
+    while (hashes_[head_end] != 0) {
+      ++head_end;
+    }
+    size_t tail_begin = cap - 1;  // its part up to the last slot
+    while (hashes_[tail_begin - 1] != 0) {
+      --tail_begin;
+    }
+    std::vector<value_type> run;
+    run.reserve(head_end + (cap - tail_begin));
+    auto take = [this, &run](size_t i) {
+      run.push_back(std::move(slots_[i]));
+      hashes_[i] = 0;
+      --size_;
+    };
+    for (size_t i = 0; i < head_end; ++i) {
+      take(i);
+    }
+    for (size_t i = tail_begin; i < cap; ++i) {
+      take(i);
+    }
+    for (value_type& entry : run) {
+      EmplaceUnique(std::move(entry.first), entry.second);
     }
   }
 

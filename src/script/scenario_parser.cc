@@ -1,6 +1,9 @@
 #include "script/scenario_parser.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/strings.h"
@@ -22,6 +25,20 @@ std::vector<std::string> Tokenize(const std::string& line) {
 
 Status LineError(int line, const std::string& message) {
   return Status::InvalidArgument(StrCat("line ", line, ": ", message));
+}
+
+// Parses the whole of `token` as a decimal integer in int64 range.
+Result<int64_t> ParseInt(const std::string& token, int line) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(token.c_str(), &end, 10);
+  if (end == token.c_str() || *end != '\0') {
+    return LineError(line, StrCat("bad int literal '", token, "'"));
+  }
+  if (errno == ERANGE) {
+    return LineError(line, StrCat("int literal '", token, "' out of range"));
+  }
+  return static_cast<int64_t>(v);
 }
 
 Result<ValueType> ParseType(const std::string& name, int line) {
@@ -69,12 +86,8 @@ Result<Attribute> ParseAttribute(const std::string& spec, int line) {
 Result<Value> ParseValue(const std::string& token, ValueType type, int line) {
   switch (type) {
     case ValueType::kInt: {
-      char* end = nullptr;
-      long long v = std::strtoll(token.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        return LineError(line, StrCat("bad int literal '", token, "'"));
-      }
-      return Value(static_cast<int64_t>(v));
+      WVM_ASSIGN_OR_RETURN(int64_t v, ParseInt(token, line));
+      return Value(v);
     }
     case ValueType::kDouble: {
       char* end = nullptr;
@@ -116,10 +129,15 @@ Result<CompareOp> ParseOp(const std::string& token, int line) {
   return LineError(line, StrCat("unknown comparison '", token, "'"));
 }
 
-bool LooksNumeric(const std::string& token) {
-  return !token.empty() &&
-         (std::isdigit(static_cast<unsigned char>(token[0])) != 0 ||
-          token[0] == '-');
+// A condition operand: an int constant if it starts like a number, else an
+// attribute name.
+Result<Operand> ParseOperand(const std::string& token, int line) {
+  if (std::isdigit(static_cast<unsigned char>(token[0])) == 0 &&
+      token[0] != '-') {
+    return Operand::Attr(token);
+  }
+  WVM_ASSIGN_OR_RETURN(int64_t v, ParseInt(token, line));
+  return Operand::ConstInt(v);
 }
 
 // Parses "A > B and X = 3 ..." starting at tokens[begin].
@@ -131,15 +149,9 @@ Result<Predicate> ParseCondition(const std::vector<std::string>& tokens,
     if (i + 3 > tokens.size()) {
       return LineError(line, "dangling condition (want LHS OP RHS)");
     }
-    Operand lhs = LooksNumeric(tokens[i])
-                      ? Operand::ConstInt(std::strtoll(
-                            tokens[i].c_str(), nullptr, 10))
-                      : Operand::Attr(tokens[i]);
+    WVM_ASSIGN_OR_RETURN(Operand lhs, ParseOperand(tokens[i], line));
     WVM_ASSIGN_OR_RETURN(CompareOp op, ParseOp(tokens[i + 1], line));
-    Operand rhs = LooksNumeric(tokens[i + 2])
-                      ? Operand::ConstInt(std::strtoll(
-                            tokens[i + 2].c_str(), nullptr, 10))
-                      : Operand::Attr(tokens[i + 2]);
+    WVM_ASSIGN_OR_RETURN(Operand rhs, ParseOperand(tokens[i + 2], line));
     cond = Predicate::And(std::move(cond),
                           Predicate::Compare(lhs, op, rhs));
     i += 3;
@@ -287,9 +299,13 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       }
     } else if (keyword == "rv-period") {
       if (tokens.size() != 2) {
-        return LineError(line, "rv-period wants one integer");
+        return LineError(line, "rv-period wants one positive integer");
       }
-      spec.rv_period = std::atoi(tokens[1].c_str());
+      WVM_ASSIGN_OR_RETURN(int64_t period, ParseInt(tokens[1], line));
+      if (period < 1 || period > std::numeric_limits<int>::max()) {
+        return LineError(line, StrCat("rv-period ", period, " out of range"));
+      }
+      spec.rv_period = static_cast<int>(period);
     } else if (keyword == "order") {
       if (tokens.size() < 2) {
         return LineError(line, "order wants best|worst|random [seed]");
@@ -301,7 +317,11 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       } else if (tokens[1] == "random") {
         spec.order = ScenarioSpec::Order::kRandom;
         if (tokens.size() > 2) {
-          spec.seed = std::strtoull(tokens[2].c_str(), nullptr, 10);
+          WVM_ASSIGN_OR_RETURN(int64_t seed, ParseInt(tokens[2], line));
+          if (seed < 0) {
+            return LineError(line, StrCat("negative seed ", seed));
+          }
+          spec.seed = static_cast<uint64_t>(seed);
         }
       } else {
         return LineError(line, StrCat("unknown order '", tokens[1], "'"));

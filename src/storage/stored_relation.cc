@@ -49,15 +49,32 @@ std::vector<size_t> SortedPositions(const std::vector<Tuple>& rows,
   return positions;
 }
 
-// Where the entry of row `pos` sits, or goes, in (value, position) order:
-// the value's run of entries, then the position within it.
-std::vector<size_t>::iterator EntrySlot(std::vector<size_t>& positions,
-                                        const std::vector<Tuple>& rows,
-                                        size_t column, size_t pos) {
+// Distinct values along rows, or row positions, sorted by `by`'s column:
+// one per run of equal values.
+template <typename Sorted>
+int64_t DistinctRuns(const Sorted& sorted, const ByColumn& by) {
+  int64_t runs = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    runs += static_cast<int64_t>(i == 0 ||
+                                 by.At(sorted[i - 1]) < by.At(sorted[i]));
+  }
+  return runs;
+}
+
+// In (value, position) order: the run of entries holding row `pos`'s value,
+// and the slot where the entry of row `pos` sits, or goes, within it.
+struct EntryRun {
+  std::vector<size_t>::iterator first;
+  std::vector<size_t>::iterator last;
+  std::vector<size_t>::iterator slot;
+};
+
+EntryRun FindEntry(std::vector<size_t>& positions,
+                   const std::vector<Tuple>& rows, size_t column, size_t pos) {
   auto [first, last] =
       std::equal_range(positions.begin(), positions.end(),
                        rows[pos].value(column), ByColumn{&rows, column});
-  return std::lower_bound(first, last, pos);
+  return {first, last, std::lower_bound(first, last, pos)};
 }
 
 // Keeps every entry naming its row after a row was inserted at `pos` (the
@@ -82,27 +99,27 @@ StoredRelation::Rep& StoredRelation::Mutable() {
   if (!rep_) {
     rep_ = std::make_shared<Rep>();
     rep_->secondary.resize(secondary_columns_.size());
-    rep_->col_counts.resize(def_.schema.size());
+    rep_->secondary_distinct.resize(secondary_columns_.size());
   } else if (rep_.use_count() > 1) {
     rep_ = std::make_shared<Rep>(*rep_);
   }
   return *rep_;
 }
 
-void StoredRelation::RebuildSecondary(Rep& rep) const {
+void StoredRelation::RebuildIndexes(Rep& rep) const {
+  if (clustered_column_.has_value()) {
+    const size_t column = *clustered_column_;
+    std::stable_sort(rep.rows.begin(), rep.rows.end(),
+                     [column](const Tuple& a, const Tuple& b) {
+                       return a.value(column) < b.value(column);
+                     });
+    rep.clustered_distinct =
+        DistinctRuns(rep.rows, ByColumn{&rep.rows, column});
+  }
   for (size_t k = 0; k < secondary_columns_.size(); ++k) {
     rep.secondary[k] = SortedPositions(rep.rows, secondary_columns_[k]);
-  }
-}
-
-void StoredRelation::CountTuple(Rep& rep, const Tuple& t, int64_t delta) {
-  for (size_t c = 0; c < rep.col_counts.size(); ++c) {
-    ColumnCounts& counts = rep.col_counts[c];
-    auto it = counts.try_emplace(t.value(c), 0).first;
-    it->second += delta;
-    if (it->second <= 0) {
-      counts.erase(it);
-    }
+    rep.secondary_distinct[k] = DistinctRuns(
+        rep.secondary[k], ByColumn{&rep.rows, secondary_columns_[k]});
   }
 }
 
@@ -130,18 +147,15 @@ Status StoredRelation::AddIndex(const std::string& attr, bool clustered) {
     }
     clustered_column_ = column;
     if (rep_ != nullptr && !rep_->rows.empty()) {
-      Rep& rep = Mutable();
-      std::stable_sort(rep.rows.begin(), rep.rows.end(),
-                       [column](const Tuple& a, const Tuple& b) {
-                         return a.value(column) < b.value(column);
-                       });
-      RebuildSecondary(rep);
+      RebuildIndexes(Mutable());
     }
   } else {
     secondary_columns_.push_back(column);
     if (rep_ != nullptr) {
       Rep& rep = Mutable();
       rep.secondary.push_back(SortedPositions(rep.rows, column));
+      rep.secondary_distinct.push_back(
+          DistinctRuns(rep.secondary.back(), ByColumn{&rep.rows, column}));
     }
   }
   indexes_.push_back(IndexDef{attr, clustered});
@@ -155,18 +169,22 @@ Status StoredRelation::Insert(const Tuple& tuple) {
                def_.name));
   }
   Rep& rep = Mutable();
-  const size_t pos = clustered_column_.has_value()
-                         ? ClusteredRange(tuple.value(*clustered_column_))
-                               .second
-                         : rep.rows.size();
+  size_t pos = rep.rows.size();
+  if (clustered_column_.has_value()) {
+    // An empty run means the value is new.
+    const auto [first, last] = ClusteredRange(tuple.value(*clustered_column_));
+    rep.clustered_distinct += static_cast<int64_t>(first == last);
+    pos = last;
+  }
   rep.rows.insert(rep.rows.begin() + pos, tuple);
   for (size_t k = 0; k < rep.secondary.size(); ++k) {
     Positions& positions = rep.secondary[k];
     Renumber(positions, pos, /*inserted=*/true);
-    positions.insert(
-        EntrySlot(positions, rep.rows, secondary_columns_[k], pos), pos);
+    const EntryRun run =
+        FindEntry(positions, rep.rows, secondary_columns_[k], pos);
+    rep.secondary_distinct[k] += static_cast<int64_t>(run.first == run.last);
+    positions.insert(run.slot, pos);
   }
-  CountTuple(rep, tuple, +1);
   return Status::OK();
 }
 
@@ -185,14 +203,26 @@ Status StoredRelation::Delete(const Tuple& tuple) {
   }
   const size_t pos = *found;
   Rep& rep = Mutable();
+  if (clustered_column_.has_value()) {
+    // The file is in clustered order, so the row's value leaves with it
+    // unless a neighbouring row holds it too.
+    const size_t c = *clustered_column_;
+    const Value& value = tuple.value(c);
+    const bool shared =
+        (pos > 0 && rep.rows[pos - 1].value(c) == value) ||
+        (pos + 1 < rep.rows.size() && rep.rows[pos + 1].value(c) == value);
+    rep.clustered_distinct -= static_cast<int64_t>(!shared);
+  }
   for (size_t k = 0; k < rep.secondary.size(); ++k) {
     Positions& positions = rep.secondary[k];
-    positions.erase(
-        EntrySlot(positions, rep.rows, secondary_columns_[k], pos));
+    const EntryRun run =
+        FindEntry(positions, rep.rows, secondary_columns_[k], pos);
+    rep.secondary_distinct[k] -=
+        static_cast<int64_t>(run.last - run.first == 1);
+    positions.erase(run.slot);
     Renumber(positions, pos, /*inserted=*/false);
   }
   rep.rows.erase(rep.rows.begin() + pos);
-  CountTuple(rep, tuple, -1);
   return Status::OK();
 }
 
@@ -205,19 +235,9 @@ Status StoredRelation::BulkLoad(std::vector<Tuple> tuples) {
     }
   }
   Rep& rep = Mutable();
-  rep.rows.reserve(rep.rows.size() + tuples.size());
-  for (Tuple& t : tuples) {
-    CountTuple(rep, t, +1);
-    rep.rows.push_back(std::move(t));
-  }
-  if (clustered_column_.has_value()) {
-    const size_t column = *clustered_column_;
-    std::stable_sort(rep.rows.begin(), rep.rows.end(),
-                     [column](const Tuple& a, const Tuple& b) {
-                       return a.value(column) < b.value(column);
-                     });
-  }
-  RebuildSecondary(rep);
+  rep.rows.insert(rep.rows.end(), std::make_move_iterator(tuples.begin()),
+                  std::make_move_iterator(tuples.end()));
+  RebuildIndexes(rep);
   return Status::OK();
 }
 
@@ -245,17 +265,26 @@ double StoredRelation::EstimatedMatchesPerKey(const std::string& attr) const {
   if (!column.ok() || rep_ == nullptr || rep_->rows.empty()) {
     return 0.0;
   }
-  const size_t distinct = rep_->col_counts[*column].size();
-  if (distinct == 0) {
-    // Rows exist but the column has no recorded distinct values (a
-    // statistics gap, not an empty relation). Returning the row count — the
-    // worst-case fan-out — keeps the estimate monotone in relation size, so
-    // the planner degrades to pessimism instead of treating the column as
-    // infinitely selective.
-    return static_cast<double>(rep_->rows.size());
-  }
   return static_cast<double>(rep_->rows.size()) /
-         static_cast<double>(distinct);
+         static_cast<double>(DistinctValues(*column));
+}
+
+int64_t StoredRelation::DistinctValues(size_t column) const {
+  if (clustered_column_ == column) {
+    return rep_->clustered_distinct;
+  }
+  for (size_t k = 0; k < secondary_columns_.size(); ++k) {
+    if (secondary_columns_[k] == column) {
+      return rep_->secondary_distinct[k];
+    }
+  }
+  std::vector<Value> values;
+  values.reserve(rep_->rows.size());
+  for (const Tuple& row : rep_->rows) {
+    values.push_back(row.value(column));
+  }
+  std::sort(values.begin(), values.end());
+  return std::unique(values.begin(), values.end()) - values.begin();
 }
 
 void StoredRelation::ChargeBlock(int b, IOStats* io, ReadCache* cache) const {
@@ -394,7 +423,16 @@ Result<std::vector<Tuple>> StoredRelation::IndexProbe(const std::string& attr,
 }
 
 Status StoredRelation::CheckIndexes() const {
-  const std::vector<Tuple>& all = rows();
+  if (rep_ == nullptr) {
+    return Status::OK();
+  }
+  const std::vector<Tuple>& all = rep_->rows;
+  auto count_error = [this](size_t column, int64_t kept, int64_t recount) {
+    return Status::Internal(StrCat("index on ", def_.name, ".",
+                                   def_.schema.attribute(column).name,
+                                   " keeps ", kept, " distinct values; ",
+                                   recount, " recounted"));
+  };
   if (clustered_column_.has_value()) {
     const size_t c = *clustered_column_;
     for (size_t i = 1; i < all.size(); ++i) {
@@ -403,21 +441,30 @@ Status StoredRelation::CheckIndexes() const {
                                        " breaks the clustered order"));
       }
     }
+    const int64_t recount = DistinctRuns(all, ByColumn{&all, c});
+    if (rep_->clustered_distinct != recount) {
+      return count_error(c, rep_->clustered_distinct, recount);
+    }
   }
-  if (rep_ != nullptr && rep_->secondary.size() != secondary_columns_.size()) {
-    return Status::Internal(StrCat(def_.name, " has ", rep_->secondary.size(),
-                                   " permutations for ",
-                                   secondary_columns_.size(),
-                                   " non-clustered indexes"));
+  if (rep_->secondary.size() != secondary_columns_.size() ||
+      rep_->secondary_distinct.size() != secondary_columns_.size()) {
+    return Status::Internal(StrCat(
+        def_.name, " has ", rep_->secondary.size(), " permutations and ",
+        rep_->secondary_distinct.size(), " distinct counts for ",
+        secondary_columns_.size(), " non-clustered indexes"));
   }
   for (size_t k = 0; k < secondary_columns_.size(); ++k) {
-    const Positions expected = SortedPositions(all, secondary_columns_[k]);
-    const Positions& actual = rep_ != nullptr ? rep_->secondary[k] : expected;
-    if (actual != expected) {
+    const size_t c = secondary_columns_[k];
+    const Positions expected = SortedPositions(all, c);
+    if (rep_->secondary[k] != expected) {
       return Status::Internal(StrCat(
           "non-clustered index on ", def_.name, ".",
-          def_.schema.attribute(secondary_columns_[k]).name,
+          def_.schema.attribute(c).name,
           " is not the (value, position) order of its rows"));
+    }
+    const int64_t recount = DistinctRuns(expected, ByColumn{&all, c});
+    if (rep_->secondary_distinct[k] != recount) {
+      return count_error(c, rep_->secondary_distinct[k], recount);
     }
   }
   return Status::OK();

@@ -1,11 +1,11 @@
 #ifndef WVM_STORAGE_STORED_RELATION_H_
 #define WVM_STORAGE_STORED_RELATION_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -48,14 +48,18 @@ struct IndexDef {
 ///   * each non-clustered index is a permutation of row positions sorted by
 ///     (value, position), so its matches come out in physical order.
 /// Only files with no index at all find a deleted row by a full scan.
+/// Each index also keeps its column's distinct-value count, in step with
+/// the search every insert and delete already makes in it.
 /// Writes still cost O(n): the dense file defines block = position / K, so
 /// an insert or delete shifts the rows after its position and renumbers
 /// the permutation entries at or after it (moves, not comparisons).
 ///
 /// Row storage is copy-on-write (the same idiom as Relation's counts map):
 /// copying a StoredRelation — and hence a whole StorageMap — shares the
-/// underlying rows, index permutations and statistics; the first mutation
-/// of a shared relation clones them. A copied StorageMap therefore acts as
+/// underlying rows, index permutations and distinct counts; the first
+/// mutation of a shared relation clones them — the row array, one position
+/// array per non-clustered index and one count per index, no per-value
+/// nodes. A copied StorageMap therefore acts as
 /// a consistent snapshot that concurrent readers may scan and probe while
 /// updates proceed against the head version. Concurrent reads of relations
 /// sharing storage are safe; mutating one StoredRelation object
@@ -94,9 +98,11 @@ class StoredRelation {
   const IndexDef* FindIndex(const std::string& attr) const;
 
   /// Expected matches per key for `attr` — rows / distinct values — the
-  /// join factor J(r, attr) the planner uses (free: index metadata). O(1):
-  /// per-column distinct-value counts are maintained incrementally by
-  /// Insert/Delete/BulkLoad rather than recomputed per call.
+  /// join factor J(r, attr) the planner uses (free: index metadata). O(1)
+  /// on an indexed attribute, whose index keeps its distinct count; the
+  /// planner asks only about those. On an unindexed attribute it counts
+  /// the column's distinct values, O(n log n). 0 for an empty relation or
+  /// an unknown attribute.
   double EstimatedMatchesPerKey(const std::string& attr) const;
 
   /// Reads the whole file: charges NumBlocks() page reads (minus blocks
@@ -126,25 +132,24 @@ class StoredRelation {
   }
 
   /// Verifies every access path against rows(): the file is ordered by the
-  /// clustered attribute, and each non-clustered permutation holds every
-  /// position once, sorted by (value, position). O(n log n); for tests.
+  /// clustered attribute, each non-clustered permutation holds every
+  /// position once, sorted by (value, position), and every index's distinct
+  /// count matches a recount. O(n log n); for tests.
   Status CheckIndexes() const;
 
  private:
-  /// Per-value row counts for one column; `size()` is the distinct count
-  /// the join-factor statistic needs.
-  using ColumnCounts = std::unordered_map<Value, int64_t, ValueHash>;
   /// Row positions in (value, position) order: a non-clustered index.
   using Positions = std::vector<size_t>;
 
   /// The shared (copy-on-write) storage: the physical rows, one position
   /// permutation per non-clustered index (parallel to secondary_columns_),
-  /// and the per-column statistics — all of which must stay in lockstep
-  /// under every mutation.
+  /// and each index's distinct-value count — all of which must stay in
+  /// lockstep under every mutation.
   struct Rep {
     std::vector<Tuple> rows;
     std::vector<Positions> secondary;
-    std::vector<ColumnCounts> col_counts;  // one per schema column
+    int64_t clustered_distinct = 0;           // 0 without a clustered index
+    std::vector<int64_t> secondary_distinct;  // parallel to secondary
   };
 
   static const std::vector<Tuple>& EmptyRows();
@@ -159,16 +164,18 @@ class StoredRelation {
   /// Position of the physically first row equal to `tuple`, through the
   /// clustered index, else a non-clustered one, else a full scan.
   std::optional<size_t> Locate(const Tuple& tuple) const;
-  /// Re-derives every non-clustered permutation from rows — used after
-  /// operations that reorder or append rows wholesale.
-  void RebuildSecondary(Rep& rep) const;
+  /// Sorts the rows by the clustered attribute, then re-derives every
+  /// non-clustered permutation and every distinct count from them — used
+  /// after operations that reorder or append rows wholesale.
+  void RebuildIndexes(Rep& rep) const;
+  /// Distinct values of `column` in the non-empty rep_: the count its index
+  /// keeps, or a count of the column when it has no index.
+  int64_t DistinctValues(size_t column) const;
 
   Result<size_t> AttrIndex(const std::string& attr) const;
 
   /// The mutable rep, cloned first if storage is currently shared.
   Rep& Mutable();
-
-  void CountTuple(Rep& rep, const Tuple& t, int64_t delta);
 
   BaseRelationDef def_;
   int tuples_per_block_;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "query/query.h"
 #include "query/term.h"
 #include "query/view_def.h"
+#include "relational/flat_counts_map.h"
 #include "relational/relation.h"
 #include "source/physical_evaluator.h"
 #include "source/source.h"
@@ -511,6 +513,81 @@ TEST(DataPlaneDifferentialTest, DerivedTupleHashesMatchRecomputation) {
     EXPECT_EQ(concat_proj.Hash(), Tuple(concat_proj.values()).Hash());
     EXPECT_EQ(concat_proj, a.Concat(b.Project(proj)));
   }
+}
+
+// The (tuple, count) sequence a map iterates in.
+std::vector<std::pair<Tuple, int64_t>> Entries(const FlatCountsMap& m) {
+  return {m.begin(), m.end()};
+}
+
+// A copy of a counts map must iterate exactly like a fresh map of the same
+// size that the source's entries are re-placed into in the source's order —
+// the workload generator picks deletes by position in that order. Sources
+// come from random inserts and deletes, half of them first re-placed into a
+// map sized for their entries, as a checkpoint's clone is, so that many
+// copies keep the source's capacity; a cluster of entries that wraps past
+// the last slot is common among those.
+TEST(DataPlaneDifferentialTest, CountsMapCopyIteratesLikeReplacement) {
+  Random rng(21);
+  int same_capacity = 0;
+  int copies = 0;
+  for (int map = 0; map < 2000; ++map) {
+    SCOPED_TRACE(StrCat("map ", map));
+    const size_t target = 1 + rng.Uniform(rng.Bernoulli(1, 5) ? 5000 : 300);
+    const int64_t domain = static_cast<int64_t>(4 * target);
+    FlatCountsMap source;
+    std::vector<Tuple> live;  // the source's tuples, in no particular order
+    // Random inserts, a repeat moving its count away from zero, and
+    // deletes of a live tuple.
+    auto churn = [&](size_t steps) {
+      for (size_t step = 0; step < steps; ++step) {
+        if (!live.empty() && rng.Bernoulli(1, 4)) {
+          const size_t i = rng.Uniform(live.size());
+          source.AddCount(live[i], -source.find(live[i])->second);
+          live[i] = std::move(live.back());
+          live.pop_back();
+          continue;
+        }
+        const Tuple t =
+            Tuple::Ints({rng.UniformRange(0, domain), rng.UniformRange(0, 3)});
+        const auto it = source.find(t);
+        if (it == source.end()) {
+          live.push_back(t);
+          source.AddCount(t, rng.Bernoulli(1, 2) ? 1 : -1);
+        } else {
+          source.AddCount(t, it->second > 0 ? 1 : -1);
+        }
+      }
+    };
+    churn(2 * target);
+    if (rng.Bernoulli(1, 2)) {
+      FlatCountsMap fitted;
+      fitted.reserve(source.size());
+      for (const auto& [t, c] : source) {
+        fitted.EmplaceUnique(t, c);
+      }
+      source = std::move(fitted);
+      churn(rng.Uniform(1 + target / 10));
+    }
+    ASSERT_EQ(source.size(), live.size());
+    const std::vector<std::pair<Tuple, int64_t>> before = Entries(source);
+    for (const size_t hint : {size_t{0}, size_t{1}, size_t{7}, source.size()}) {
+      const FlatCountsMap copy(source, hint);
+      FlatCountsMap replaced;
+      replaced.reserve(source.size() + hint);
+      for (const auto& [t, c] : source) {
+        replaced.EmplaceUnique(t, c);
+      }
+      ++copies;
+      same_capacity += static_cast<int>(copy.capacity() == source.capacity());
+      ASSERT_EQ(copy.capacity(), replaced.capacity()) << "hint " << hint;
+      ASSERT_EQ(Entries(copy), Entries(replaced)) << "hint " << hint;
+    }
+    ASSERT_EQ(Entries(source), before) << "copying changed the source";
+  }
+  // Both copy paths ran often.
+  EXPECT_GT(same_capacity, copies / 4);
+  EXPECT_LT(same_capacity, copies * 3 / 4);
 }
 
 }  // namespace

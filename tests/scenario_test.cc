@@ -111,6 +111,43 @@ algorithm quantum
                    .ok());
 }
 
+// A malformed number is refused with InvalidArgument naming its line, not
+// read as its leading digits, a saturated value or zero. Each bad line has
+// a well-formed twin that parses.
+TEST(ScenarioParserTest, RejectsMalformedNumbers) {
+  struct Case {
+    const char* bad;
+    const char* good;
+  };
+  const Case cases[] = {
+      {"tuple r1 99999999999999999999 1", "tuple r1 9223372036854775807 1"},
+      {"tuple r1 -99999999999999999999 1", "tuple r1 -9223372036854775808 1"},
+      {"tuple r1 3abc 1", "tuple r1 3 1"},
+      {"update insert r1 1 2x", "update insert r1 1 2"},
+      {"view V project W where W > 3abc", "view V project W where W > 3"},
+      {"view V project W where -7x < W", "view V project W where -7 < W"},
+      {"view V project W where W > 99999999999999999999",
+       "view V project W where W > 9223372036854775807"},
+      {"rv-period abc", "rv-period 4"},
+      {"rv-period 0", "rv-period 1"},
+      {"rv-period 3000000000", "rv-period 2147483647"},
+      {"order random x7", "order random 7"},
+      {"order random -1", "order random 0"},
+      {"expect-final [1x]", "expect-final [1]"},
+  };
+  const std::string header = "relation r1 W:int X:int\nview V project W\n";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.bad);
+    Result<ScenarioSpec> bad = ParseScenario(header + c.bad + "\n");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.status().message().find("line 3: "), std::string::npos)
+        << bad.status();
+    Result<ScenarioSpec> good = ParseScenario(header + c.good + "\n");
+    EXPECT_TRUE(good.ok()) << c.good << ": " << good.status();
+  }
+}
+
 TEST(ScenarioParserTest, RelationsAfterViewRejected) {
   EXPECT_FALSE(ParseScenario(R"(
 relation r1 W:int

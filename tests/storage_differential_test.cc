@@ -1,9 +1,11 @@
 // Differential test of StoredRelation's index access paths against the
 // scan-based reference (storage_reference.h): seeded random sequences of
 // bulk loads, inserts, deletes and probes over four index layouts. After
-// every step both sides hold the same rows in the same physical order, and
+// every step both sides hold the same rows in the same physical order,
 // every probe returns the same matches in the same order with the same
-// page reads and index probes, with and without a ReadCache. Copy-on-write
+// page reads and index probes, with and without a ReadCache, and every
+// column, indexed or not, has the same rows per distinct value (the
+// planner's join factor, which the indexes keep). Copy-on-write
 // snapshots are taken mid-sequence and later steps mutate them too: every
 // version must keep answering like the reference copied at the same moment.
 #include <gtest/gtest.h>
@@ -114,9 +116,10 @@ class StorageDifferential {
     }
   }
 
-  // Same rows, valid access paths, and the same answer to probes of every
-  // indexed column — alone and through a cache shared by a few probes, as
-  // within one query.
+  // Same rows, valid access paths and distinct counts, the same join
+  // factor on every column, and the same answer to probes of every indexed
+  // column — alone and through a cache shared by a few probes, as within
+  // one query.
   void ExpectSame(const Pair& p, const std::string& where) {
     ASSERT_EQ(p.stored.rows(), p.scan.rows()) << where;
     const Status indexes = p.stored.CheckIndexes();
@@ -126,6 +129,8 @@ class StorageDifferential {
     ReadCache scan_cache;
     for (size_t c = 0; c < kColumns; ++c) {
       const std::string attr(1, "XYZ"[c]);
+      EXPECT_EQ(p.stored.EstimatedMatchesPerKey(attr), p.scan.MatchesPerKey(c))
+          << where << " join factor of " << attr;
       for (int probe = 0; probe < 3; ++probe) {
         const Value value(rng_.UniformRange(-1, 8));
         const bool cached = rng_.Bernoulli(1, 2);

@@ -4,7 +4,8 @@
 // with std::find. Linear on purpose: it is the obviously-correct
 // specification the indexed StoredRelation is differential-tested against
 // (storage_differential_test.cc) — same rows in the same physical order,
-// same matches in the same order, same page reads and probe counts.
+// same matches in the same order, same page reads and probe counts, and
+// the same rows per distinct value of every column.
 #ifndef WVM_TESTS_STORAGE_REFERENCE_H_
 #define WVM_TESTS_STORAGE_REFERENCE_H_
 
@@ -106,6 +107,20 @@ class ScanStore {
       }
     }
     return matches;
+  }
+
+  // Rows per distinct value of `column`, counted from scratch; 0 when the
+  // file is empty.
+  double MatchesPerKey(size_t column) const {
+    if (rows_.empty()) {
+      return 0.0;
+    }
+    std::set<Value> distinct;
+    for (const Tuple& row : rows_) {
+      distinct.insert(row.value(column));
+    }
+    return static_cast<double>(rows_.size()) /
+           static_cast<double>(distinct.size());
   }
 
   const std::vector<Tuple>& rows() const { return rows_; }

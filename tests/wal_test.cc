@@ -6,8 +6,9 @@
 //      synced record byte-for-byte;
 //   2. the segment lifecycle — rotation at segment_bytes, LSN-ordered
 //      file names, truncation by whole-segment drop (conservative: a
-//      straddling segment survives), and name-prefix isolation when
-//      several journals share one directory;
+//      straddling segment survives), directory fsyncs only with fsync on,
+//      and name-prefix isolation when several journals share one
+//      directory;
 //   3. the torn-tail rule — a damaged record at the tail of the LAST
 //      segment is truncated away on Open; the same damage mid-log refuses
 //      with Internal (corruption truncation cannot have caused);
@@ -229,6 +230,57 @@ TEST_F(WalTest, TruncateBelowEverythingThenAppendContinues) {
   ASSERT_TRUE((*wal)->Append(5, "s").ok());
   ASSERT_TRUE((*wal)->Sync().ok());
   EXPECT_EQ((*wal)->end_lsn(), 6u);
+}
+
+// A directory fsync makes a segment create or drop durable, so it follows
+// the fsync option as the flushes do: none with it off; with it on, one per
+// segment created and one per TruncateBelow that drops segments.
+TEST_F(WalTest, DirectorySyncsFollowTheFsyncOption) {
+  for (const bool fsync : {false, true}) {
+    SCOPED_TRACE(fsync ? "fsync on" : "fsync off");
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+    WalOptions o = Options();
+    o.fsync = fsync;
+    o.segment_bytes = 128;  // three 56-byte records per segment
+    o.flush_appends = 1;
+    {
+      Result<std::unique_ptr<WalWriter>> wal = WalWriter::Open(o);
+      ASSERT_TRUE(wal.ok()) << wal.status();
+      for (uint64_t i = 0; i < 12; ++i) {
+        ASSERT_TRUE((*wal)->Append(i, std::string(32, 'd')).ok());
+      }
+      const WalStats& s = (*wal)->stats();
+      ASSERT_EQ(s.segments_created, 4);
+      EXPECT_EQ(s.fsyncs, fsync ? 12 : 0);
+      EXPECT_EQ(s.dir_fsyncs, fsync ? 4 : 0);
+      ASSERT_TRUE((*wal)->TruncateBelow(3).ok());  // drops [0, 3)
+      EXPECT_EQ(s.segments_dropped, 1);
+      EXPECT_EQ(s.dir_fsyncs, fsync ? 5 : 0);
+      ASSERT_TRUE((*wal)->TruncateBelow(4).ok());  // [3, 6) straddles: kept
+      EXPECT_EQ(s.segments_dropped, 1);
+      EXPECT_EQ(s.dir_fsyncs, fsync ? 5 : 0);
+      ASSERT_TRUE((*wal)->TruncateBelow(9).ok());  // drops [3, 6), [6, 9)
+      EXPECT_EQ(s.segments_dropped, 3);
+      EXPECT_EQ(s.dir_fsyncs, fsync ? 6 : 0);
+      EXPECT_EQ(s.fsyncs, fsync ? 12 : 0);
+    }
+    std::vector<WalRecoveredRecord> recovered;
+    Result<std::unique_ptr<WalWriter>> wal = WalWriter::Open(o, &recovered);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_EQ(recovered.size(), 3u);
+    for (uint64_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(recovered[i].lsn, 9 + i);
+    }
+    // A floor past the active segment drops it too; the next append opens
+    // a fresh one.
+    ASSERT_TRUE((*wal)->TruncateBelow(12).ok());
+    EXPECT_EQ((*wal)->stats().segments_dropped, 1);
+    ASSERT_TRUE((*wal)->Append(12, "after").ok());
+    EXPECT_EQ((*wal)->stats().segments_created, 1);
+    EXPECT_EQ((*wal)->stats().dir_fsyncs, fsync ? 2 : 0);
+    EXPECT_EQ((*wal)->stats().fsyncs, fsync ? 1 : 0);
+  }
 }
 
 TEST_F(WalTest, SharedDirectoryIsolatesJournalsByName) {

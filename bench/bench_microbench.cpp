@@ -4,9 +4,11 @@
 // operation at realistic sizes).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "query/compiled_plan.h"
 #include "query/evaluator.h"
 #include "relational/algebra.h"
+#include "source/physical_evaluator.h"
+#include "source/source.h"
 #include "storage/stored_relation.h"
 #include "workload/generator.h"
 
@@ -105,6 +109,60 @@ void BM_SubstitutedTermEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubstitutedTermEvaluation)->Arg(1000)->Arg(10000);
+
+// One Scenario 1 term through the source's physical evaluator: Example 6 at
+// C rows per relation (J = 4, K = 20) on the paper's Scenario 1 indexes.
+// The second argument is the number of bound operands: 1 cycles through
+// the single-bound terms V<u> of 300 round-robin inserts, 2 through the
+// doubly-bound compensation terms V<u_i><u_i+1> of consecutive ones (which
+// bind different relations). One term per iteration; page_reads is the
+// mean charged per term.
+void BM_Scenario1Term(benchmark::State& state) {
+  Random rng(8);
+  Result<Workload> w = MakeExample6Workload({state.range(0), 4}, &rng);
+  if (!w.ok()) {
+    state.SkipWithError(w.status().ToString().c_str());
+    return;
+  }
+  PhysicalConfig config;
+  config.tuples_per_block = 20;
+  Result<Source> source =
+      Source::Create(w->initial, config, w->scenario1_indexes);
+  Result<std::vector<Update>> updates = MakeRoundRobinInserts(*w, 300, &rng);
+  if (!source.ok() || !updates.ok()) {
+    state.SkipWithError("Scenario 1 set-up failed");
+    return;
+  }
+  const Term full = Term::FromView(w->view);
+  std::vector<Term> terms;
+  for (size_t i = 0; i < updates->size(); ++i) {
+    std::optional<Term> t = full.Substitute((*updates)[i]);
+    if (t.has_value() && state.range(1) == 2) {
+      t = t->Substitute((*updates)[(i + 1) % updates->size()]);
+    }
+    if (!t.has_value()) {
+      state.SkipWithError("substitution failed");
+      return;
+    }
+    terms.push_back(*std::move(t));
+  }
+  IOStats io;
+  size_t next = 0;
+  for (auto _ : state) {
+    Result<Relation> r = EvaluateTermPhysical(terms[next], source->storage(),
+                                              source->config(), &io);
+    benchmark::DoNotOptimize(r);
+    next = next + 1 == terms.size() ? 0 : next + 1;
+  }
+  state.counters["page_reads"] =
+      static_cast<double>(io.page_reads) /
+      static_cast<double>(std::max<int64_t>(1, state.iterations()));
+}
+BENCHMARK(BM_Scenario1Term)
+    ->Args({1000, 1})
+    ->Args({1000, 2})
+    ->Args({10000, 1})
+    ->Args({10000, 2});
 
 // One-time compilation cost per (view, bound-mask) shape — the price paid
 // at view registration, amortized over every later delta evaluation.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 
 #include "common/strings.h"
 #include "query/evaluator.h"
+#include "relational/key_index.h"
 
 namespace wvm {
 
@@ -268,9 +268,9 @@ Status SelfMaintainer::Initialize(const Catalog& initial_source_state) {
       }
       // Pruned: the initial semijoin — rows some referencing relation
       // actually joins at init. Rows referenced only later resolve through
-      // the update history (or fall back to the source).
+      // the update history (or fall back to the source). A row two edges
+      // reach is kept once.
       Relation pruned(src->schema());
-      std::set<Tuple> kept;
       for (const SelfMaintenanceAnalysis::ResolutionEdge& e :
            analysis_.resolution_edges()) {
         if (e.to != ri) {
@@ -279,15 +279,22 @@ Status SelfMaintainer::Initialize(const Catalog& initial_source_state) {
         WVM_ASSIGN_OR_RETURN(
             const Relation* from_rel,
             initial_source_state.Get(view_->relations()[e.from].name));
-        std::set<Tuple> referenced;
-        for (const auto& [t, count] : from_rel->entries()) {
-          if (count > 0) {
-            referenced.insert(t.Project(e.from_cols));
-          }
-        }
+        const RelationKeyIndex referencing(from_rel->shared_entries(),
+                                           e.from_cols);
         for (const auto& [t, count] : src->entries()) {
-          if (count > 0 && referenced.count(t.Project(e.to_cols)) > 0 &&
-              kept.insert(t).second) {
+          if (count <= 0 || pruned.CountOf(t) != 0) {
+            continue;
+          }
+          const auto value_at = [&](size_t k) -> const Value& {
+            return t.value(e.to_cols[k]);
+          };
+          bool referenced = false;
+          referencing.ForEachMatch(
+              RelationKeyIndex::ProbeHash(e.to_cols.size(), value_at),
+              value_at, [&](const Tuple&, int64_t from_count) {
+                referenced = referenced || from_count > 0;
+              });
+          if (referenced) {
             pruned.Insert(t, count);
           }
         }

@@ -1,6 +1,5 @@
 #include "query/compiled_plan.h"
 
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -9,12 +8,6 @@
 #include "relational/key_index.h"
 
 namespace wvm {
-
-namespace {
-
-constexpr size_t kNone = std::numeric_limits<size_t>::max();
-
-}  // namespace
 
 uint64_t TermBoundMask(const Term& term) {
   uint64_t mask = 0;
@@ -37,11 +30,10 @@ Result<CompiledDeltaPlan> CompiledDeltaPlan::Compile(
     plan.operands_.push_back(OperandInfo{r.name, r.schema.size()});
   }
 
-  const std::vector<ViewDefinition::EquiEdge>& edges = view.equi_edges();
   const size_t width = view.combined_schema().size();
   std::vector<bool> joined(n, false);
-  // pos_of[c] = join-order column holding combined column c, or kNone.
-  std::vector<size_t> pos_of(width, kNone);
+  // pos_of[c] = join-order column holding combined column c, or kNotJoined.
+  std::vector<size_t> pos_of(width, kNotJoined);
   const auto is_bound = [bound_mask](size_t p) {
     return ((bound_mask >> p) & 1) != 0;
   };
@@ -67,62 +59,39 @@ Result<CompiledDeltaPlan> CompiledDeltaPlan::Compile(
     // singletons), then operands connected to the accumulated block through
     // an equi-edge, then — only when nothing is connected — a cross
     // product. Ties break by position, which keeps plans deterministic.
-    size_t best = kNone;
+    CompiledJoinStep best;
+    bool have_best = false;
     bool best_bound = false;
-    bool best_connected = false;
     for (size_t p = 0; p < n; ++p) {
       if (joined[p]) {
         continue;
       }
-      const size_t offset = view.relation_offset(p);
-      const size_t arity = plan.operands_[p].arity;
-      bool connected = false;
-      for (const ViewDefinition::EquiEdge& e : edges) {
-        const bool l_in_p =
-            e.left_column >= offset && e.left_column < offset + arity;
-        const bool r_in_p =
-            e.right_column >= offset && e.right_column < offset + arity;
-        if ((l_in_p && pos_of[e.right_column] != kNone) ||
-            (r_in_p && pos_of[e.left_column] != kNone)) {
-          connected = true;
-          break;
-        }
-      }
+      CompiledJoinStep candidate = JoinStepTo(view, pos_of, p);
       const bool bound = is_bound(p);
-      if (best == kNone || (bound && !best_bound) ||
-          (bound == best_bound && connected && !best_connected)) {
-        best = p;
+      const bool connected = !candidate.acc_keys.empty();
+      if (!have_best || (bound && !best_bound) ||
+          (bound == best_bound && connected && best.acc_keys.empty())) {
+        best = std::move(candidate);
+        have_best = true;
         best_bound = bound;
-        best_connected = connected;
       }
     }
 
-    const size_t offset = view.relation_offset(best);
-    const size_t arity = plan.operands_[best].arity;
-    CompiledJoinStep js;
-    js.operand = best;
-    for (const ViewDefinition::EquiEdge& e : edges) {
-      for (const auto& [a, b] :
-           {std::pair<size_t, size_t>{e.left_column, e.right_column},
-            std::pair<size_t, size_t>{e.right_column, e.left_column}}) {
-        if (b >= offset && b < offset + arity && pos_of[a] != kNone) {
-          js.acc_keys.push_back(pos_of[a]);
-          js.op_keys.push_back(b - offset);
-        }
-      }
-    }
-    plan.steps_.push_back(std::move(js));
-    plan.order_.push_back(best);
-    joined[best] = true;
+    const size_t offset = view.relation_offset(best.operand);
+    const size_t arity = plan.operands_[best.operand].arity;
+    plan.order_.push_back(best.operand);
+    joined[best.operand] = true;
     for (size_t a = 0; a < arity; ++a) {
       pos_of[offset + a] = acc_width + a;
     }
     acc_width += arity;
+    plan.steps_.push_back(std::move(best));
   }
+  plan.layout_ = std::move(pos_of);
 
-  // Fuse the residual condition into flat comparison leaves over join-order
+  // Fuse the residual condition into flat comparison leaves over combined
   // columns. Anything that is not a plain comparison falls back to a
-  // BoundPredicate walk, pre-bound here against the join-order schema so
+  // BoundPredicate walk, pre-bound here against the combined schema so
   // execution never rebinds.
   if (!view.residual_cond().IsTrue()) {
     bool need_fallback = false;
@@ -138,11 +107,11 @@ Result<CompiledDeltaPlan> CompiledDeltaPlan::Compile(
                                Value* constant) {
         if (o.is_attr()) {
           std::optional<size_t> c = view.combined_schema().IndexOf(o.attr_name());
-          if (!c.has_value() || pos_of[*c] == kNone) {
+          if (!c.has_value()) {
             return false;
           }
           *is_col = true;
-          *col = pos_of[*c];
+          *col = *c;
         } else {
           *is_col = false;
           *constant = o.constant();
@@ -154,32 +123,61 @@ Result<CompiledDeltaPlan> CompiledDeltaPlan::Compile(
         need_fallback = true;
         break;
       }
-      plan.residual_.push_back(std::move(out));
+      plan.residual_.leaves.push_back(std::move(out));
     }
     if (need_fallback) {
-      plan.residual_.clear();
-      plan.use_fallback_residual_ = true;
-      std::vector<size_t> join_order_cols(width);
-      for (size_t c = 0; c < width; ++c) {
-        join_order_cols[pos_of[c]] = c;
-      }
-      Schema join_schema = view.combined_schema().Project(join_order_cols);
-      WVM_ASSIGN_OR_RETURN(plan.fallback_residual_,
-                           view.residual_cond().Bind(join_schema));
+      plan.residual_.leaves.clear();
+      WVM_ASSIGN_OR_RETURN(plan.residual_.fallback,
+                           view.residual_cond().Bind(view.combined_schema()));
     }
   }
 
-  plan.output_cols_.reserve(view.projection_indices().size());
-  for (size_t c : view.projection_indices()) {
-    plan.output_cols_.push_back(pos_of[c]);
-  }
+  plan.output_cols_ = view.projection_indices();
   plan.output_schema_ = view.output_schema();
   return plan;
 }
 
-namespace {
+CompiledJoinStep JoinStepTo(const ViewDefinition& view,
+                            const std::vector<size_t>& pos_of, size_t p) {
+  const size_t offset = view.relation_offset(p);
+  const size_t arity = view.relations()[p].schema.size();
+  CompiledJoinStep step;
+  step.operand = p;
+  for (const ViewDefinition::EquiEdge& e : view.equi_edges()) {
+    for (const auto& [a, b] :
+         {std::pair<size_t, size_t>{e.left_column, e.right_column},
+          std::pair<size_t, size_t>{e.right_column, e.left_column}}) {
+      if (b >= offset && b < offset + arity && pos_of[a] != kNotJoined) {
+        step.acc_keys.push_back(pos_of[a]);
+        step.op_keys.push_back(b - offset);
+      }
+    }
+  }
+  return step;
+}
 
-// Appends to `next` every join of `acc` row i with matching index rows.
+bool StepKeysMatch(const ColumnBlock& acc, size_t row,
+                   const CompiledJoinStep& step, const Tuple& tuple) {
+  for (size_t k = 0; k < step.acc_keys.size(); ++k) {
+    if (!(acc.at(row, step.acc_keys[k]) == tuple.value(step.op_keys[k]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Status CheckBoundArity(const Term& term, size_t position) {
+  const TermOperand& op = term.operands()[position];
+  const size_t arity = term.view()->relations()[position].schema.size();
+  if (op.bound.tuple.size() != arity) {
+    return Status::InvalidArgument(
+        StrCat("bound tuple ", op.bound.tuple.ToString(),
+               " arity mismatch for relation ",
+               term.view()->relations()[position].name));
+  }
+  return Status::OK();
+}
+
 void ProbeStep(const ColumnBlock& acc, const CompiledJoinStep& step,
                const RelationKeyIndex& index, ColumnBlock* next) {
   const std::vector<size_t>& acc_keys = step.acc_keys;
@@ -194,58 +192,41 @@ void ProbeStep(const ColumnBlock& acc, const CompiledJoinStep& step,
   }
 }
 
-// Joins `acc` against a bound singleton: rows whose key columns equal the
-// tuple's key columns extend by the tuple, multiplied by its sign.
-void BoundStep(const ColumnBlock& acc, const CompiledJoinStep& step,
-               const Tuple& tuple, int sign, ColumnBlock* next) {
-  for (size_t i = 0; i < acc.rows(); ++i) {
-    bool match = true;
-    for (size_t k = 0; k < step.acc_keys.size(); ++k) {
-      if (!(acc.at(i, step.acc_keys[k]) == tuple.value(step.op_keys[k]))) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      next->AppendJoined(acc, i, tuple, sign);
-    }
-  }
-}
-
-// Residual filter + projection + scale, fused into the final gather.
-Relation GatherFiltered(const ColumnBlock& acc, const CompiledDeltaPlan& plan,
-                        int64_t scale) {
-  Relation out(plan.output_schema());
+Relation GatherFiltered(const ColumnBlock& acc,
+                        const std::vector<size_t>& layout,
+                        const CompiledCondition& cond,
+                        const std::vector<size_t>& projection,
+                        const Schema& schema, int64_t scale) {
+  Relation out(schema);
   if (acc.empty() || scale == 0) {
     return out;
   }
-  const std::vector<CompiledResidualLeaf>& residual = plan.residual();
-  const std::vector<size_t>& out_cols = plan.output_cols();
+  std::vector<size_t> out_cols(projection.size());
+  for (size_t c = 0; c < projection.size(); ++c) {
+    out_cols[c] = layout[projection[c]];
+  }
+  const bool use_fallback = !cond.fallback.IsTrue();
+  std::vector<Value> full_row(use_fallback ? layout.size() : 0);
+  std::vector<Value> out_row(out_cols.size());
   Relation::CountsMap& m = out.MutableEntries();
   m.reserve(acc.rows());
-  std::vector<Value> out_row(out_cols.size());
-  std::vector<Value> full_row;
-  if (plan.uses_fallback_residual()) {
-    full_row.resize(acc.width());
-  }
   for (size_t i = 0; i < acc.rows(); ++i) {
     bool pass = true;
-    if (plan.uses_fallback_residual()) {
-      for (size_t c = 0; c < acc.width(); ++c) {
-        full_row[c] = acc.at(i, c);
+    for (const CompiledResidualLeaf& leaf : cond.leaves) {
+      const Value& l =
+          leaf.lhs_is_col ? acc.at(i, layout[leaf.lhs_col]) : leaf.lhs_const;
+      const Value& r =
+          leaf.rhs_is_col ? acc.at(i, layout[leaf.rhs_col]) : leaf.rhs_const;
+      if (!EvalCompareOp(l, leaf.op, r)) {
+        pass = false;
+        break;
       }
-      pass = plan.fallback_residual().Eval(Tuple(full_row));
-    } else {
-      for (const CompiledResidualLeaf& leaf : residual) {
-        const Value& l = leaf.lhs_is_col ? acc.at(i, leaf.lhs_col)
-                                         : leaf.lhs_const;
-        const Value& r = leaf.rhs_is_col ? acc.at(i, leaf.rhs_col)
-                                         : leaf.rhs_const;
-        if (!EvalCompareOp(l, leaf.op, r)) {
-          pass = false;
-          break;
-        }
+    }
+    if (pass && use_fallback) {
+      for (size_t c = 0; c < layout.size(); ++c) {
+        full_row[c] = acc.at(i, layout[c]);
       }
+      pass = cond.fallback.Eval(Tuple(full_row));
     }
     if (!pass) {
       continue;
@@ -258,18 +239,17 @@ Relation GatherFiltered(const ColumnBlock& acc, const CompiledDeltaPlan& plan,
   return out;
 }
 
-// Mirrors EvaluateTermNaive's arity check (and its error text) for bound
-// operands, so the runtime evaluator and the reference fail identically.
-Status CheckBoundArity(const Term& term, size_t position) {
-  const TermOperand& op = term.operands()[position];
-  const size_t arity = term.view()->relations()[position].schema.size();
-  if (op.bound.tuple.size() != arity) {
-    return Status::InvalidArgument(
-        StrCat("bound tuple ", op.bound.tuple.ToString(),
-               " arity mismatch for relation ",
-               term.view()->relations()[position].name));
+namespace {
+
+// Joins `acc` against a bound singleton: rows whose key columns equal the
+// tuple's key columns extend by the tuple, multiplied by its sign.
+void BoundStep(const ColumnBlock& acc, const CompiledJoinStep& step,
+               const Tuple& tuple, int sign, ColumnBlock* next) {
+  for (size_t i = 0; i < acc.rows(); ++i) {
+    if (StepKeysMatch(acc, i, step, tuple)) {
+      next->AppendJoined(acc, i, tuple, sign);
+    }
   }
-  return Status::OK();
 }
 
 // Output pre-sizing for `rows` probes of `per_key` matches each, clamped.
@@ -328,7 +308,8 @@ Result<Relation> ExecuteCompiledPlan(const CompiledDeltaPlan& plan,
     acc = std::move(next);
   }
 
-  return GatherFiltered(acc, plan, term.coefficient());
+  return GatherFiltered(acc, plan.layout_, plan.residual_, plan.output_cols_,
+                        plan.output_schema_, term.coefficient());
 }
 
 Result<Relation> ExecuteCompiledPlanOnOperands(
@@ -351,7 +332,8 @@ Result<Relation> ExecuteCompiledPlanOnOperands(
     ProbeStep(acc, step, index, &next);
     acc = std::move(next);
   }
-  return GatherFiltered(acc, plan, /*scale=*/1);
+  return GatherFiltered(acc, plan.layout_, plan.residual_, plan.output_cols_,
+                        plan.output_schema_, /*scale=*/1);
 }
 
 }  // namespace wvm

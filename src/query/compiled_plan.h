@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,9 @@
 
 namespace wvm {
 
+class ColumnBlock;
+class RelationKeyIndex;
+
 /// Bitmask of bound operand positions of a term — the shape key under which
 /// compiled plans are cached. All terms with the same view and the same set
 /// of bound positions share one plan (the bound values are runtime inputs).
@@ -24,8 +28,8 @@ namespace wvm {
 /// ViewDefinition::kMaxRelations relations.
 uint64_t TermBoundMask(const Term& term);
 
-/// One fused residual conjunct, pre-resolved to join-order column indices
-/// (or constants). Evaluated with EvalCompareOp, so semantics match the
+/// One fused conjunct, pre-resolved to combined-schema column indices (or
+/// constants). Evaluated with EvalCompareOp, so semantics match the
 /// BoundPredicate walk exactly.
 struct CompiledResidualLeaf {
   bool lhs_is_col = false;
@@ -37,14 +41,58 @@ struct CompiledResidualLeaf {
   Value rhs_const;
 };
 
+/// A condition compiled for GatherFiltered: flat comparison leaves and, when
+/// some conjunct is not a plain comparison, a fallback predicate bound
+/// against the combined schema (true when every conjunct fused).
+struct CompiledCondition {
+  std::vector<CompiledResidualLeaf> leaves;
+  BoundPredicate fallback;
+};
+
 /// One join step of a compiled plan: probe the accumulated block's
-/// `acc_keys` columns (join-order layout) against operand `operand`'s
-/// `op_keys` columns (relation-local). Empty key lists mean cross product.
+/// `acc_keys` columns (block layout) against operand `operand`'s `op_keys`
+/// columns (relation-local). Empty key lists mean cross product.
 struct CompiledJoinStep {
   size_t operand = 0;
   std::vector<size_t> acc_keys;
   std::vector<size_t> op_keys;
 };
+
+/// Marks a combined-schema column whose operand is not in the block yet.
+inline constexpr size_t kNotJoined = std::numeric_limits<size_t>::max();
+
+/// The step that joins operand `p` to a block whose layout is `pos_of`
+/// (pos_of[c] = block column of combined column c, or kNotJoined): one key
+/// pair per equi-edge between a placed column and a column of p, in
+/// equi_edges() order, left-to-right before right-to-left.
+CompiledJoinStep JoinStepTo(const ViewDefinition& view,
+                            const std::vector<size_t>& pos_of, size_t p);
+
+/// True when row `row` of `acc` carries `tuple`'s step.op_keys values in
+/// its step.acc_keys columns.
+bool StepKeysMatch(const ColumnBlock& acc, size_t row,
+                   const CompiledJoinStep& step, const Tuple& tuple);
+
+/// InvalidArgument when the bound tuple at `position` of `term` does not
+/// have its relation's arity. Mirrors EvaluateTermNaive's check and error
+/// text, so every evaluator and the reference fail identically.
+Status CheckBoundArity(const Term& term, size_t position);
+
+/// Appends to `next` every join of an `acc` row with the rows of `index`
+/// (keyed on step.op_keys) whose keys equal the row's step.acc_keys values.
+void ProbeStep(const ColumnBlock& acc, const CompiledJoinStep& step,
+               const RelationKeyIndex& index, ColumnBlock* next);
+
+/// The fused finish of every join over a ColumnBlock: keeps the rows of
+/// `acc` that satisfy `cond`, projects them onto the combined-schema
+/// columns `projection`, scales each multiplicity by `scale` and merges
+/// equal rows into a Relation under `schema`. `layout[c]` is the block
+/// column holding combined column c.
+Relation GatherFiltered(const ColumnBlock& acc,
+                        const std::vector<size_t>& layout,
+                        const CompiledCondition& cond,
+                        const std::vector<size_t>& projection,
+                        const Schema& schema, int64_t scale);
 
 /// A flat physical plan for one (view, bound mask) delta-query shape,
 /// compiled once at view registration and executed by the tight-loop
@@ -55,8 +103,8 @@ struct CompiledJoinStep {
 ///     step is an index probe along a pre-resolved equi-key;
 ///   * residual conjuncts fused into flat column-compare leaves (with a
 ///     pre-bound BoundPredicate fallback for non-comparison conjuncts);
-///   * the output projection composed through the join order, so the final
-///     gather touches only the projected columns.
+///   * the output projection read through the join-order layout, so the
+///     final gather touches only the projected columns.
 ///
 /// Plans hold no relation data; bound tuples and catalog contents are
 /// runtime inputs, which is what makes one plan reusable across every
@@ -75,14 +123,15 @@ class CompiledDeltaPlan {
   /// Join steps, aligned with order()[1..].
   const std::vector<CompiledJoinStep>& steps() const { return steps_; }
   const std::vector<CompiledResidualLeaf>& residual() const {
-    return residual_;
+    return residual_.leaves;
   }
   /// True when the residual could not be fully fused into comparison
-  /// leaves; the executor then applies fallback_residual() to each
-  /// materialized join-order row.
-  bool uses_fallback_residual() const { return use_fallback_residual_; }
-  const BoundPredicate& fallback_residual() const { return fallback_residual_; }
-  /// Join-order columns of the output projection.
+  /// leaves; the executor then walks the residual predicate on each row
+  /// re-formed in combined-schema order.
+  bool uses_fallback_residual() const {
+    return !residual_.fallback.IsTrue();
+  }
+  /// Combined-schema columns of the output projection.
   const std::vector<size_t>& output_cols() const { return output_cols_; }
   const Schema& output_schema() const { return output_schema_; }
 
@@ -104,9 +153,8 @@ class CompiledDeltaPlan {
   std::vector<size_t> order_;
   std::vector<CompiledJoinStep> steps_;
   std::vector<OperandInfo> operands_;  // by original operand position
-  std::vector<CompiledResidualLeaf> residual_;
-  bool use_fallback_residual_ = false;
-  BoundPredicate fallback_residual_;  // bound against the join-order schema
+  std::vector<size_t> layout_;  // combined column -> join-order column
+  CompiledCondition residual_;
   std::vector<size_t> output_cols_;
   Schema output_schema_;
 };

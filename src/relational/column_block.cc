@@ -1,7 +1,5 @@
 #include "relational/column_block.h"
 
-#include <utility>
-
 namespace wvm {
 
 ColumnBlock ColumnBlock::FromRelation(const Relation& r) {
@@ -22,24 +20,6 @@ ColumnBlock ColumnBlock::FromSignedTuple(const Tuple& t, int sign) {
     out.cols_[col].push_back(t.value(col));
   }
   out.counts_.push_back(sign);
-  return out;
-}
-
-Relation ColumnBlock::Gather(Schema schema, const std::vector<size_t>& out_cols,
-                             int64_t scale) const {
-  Relation out(std::move(schema));
-  if (empty() || scale == 0) {
-    return out;
-  }
-  Relation::CountsMap& m = out.MutableEntries();
-  m.reserve(rows());
-  std::vector<Value> row(out_cols.size());
-  for (size_t i = 0; i < rows(); ++i) {
-    for (size_t c = 0; c < out_cols.size(); ++c) {
-      row[c] = cols_[out_cols[c]][i];
-    }
-    m.AddCount(Tuple(row), counts_[i] * scale);
-  }
   return out;
 }
 

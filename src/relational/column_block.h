@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "relational/relation.h"
-#include "relational/schema.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
 
@@ -71,13 +70,6 @@ class ColumnBlock {
   /// Single-row block for a bound operand: the tuple's values once, with
   /// multiplicity `sign`.
   static ColumnBlock FromSignedTuple(const Tuple& t, int sign);
-
-  /// Re-forms row-major tuples from the selected columns, scales every
-  /// multiplicity by `scale`, and accumulates into a Relation under
-  /// `schema` (which must have out_cols.size() attributes). Duplicate rows
-  /// merge here; zero multiplicities vanish.
-  Relation Gather(Schema schema, const std::vector<size_t>& out_cols,
-                  int64_t scale) const;
 
  private:
   std::vector<std::vector<Value>> cols_;

@@ -12,12 +12,13 @@
 
 namespace wvm {
 
-/// A reusable hash index over a relation's tuple storage, keyed on a fixed
-/// column list — the pre-resolved probe structure behind compiled delta
-/// plans. Unlike the per-join JoinBuildIndex (built from scratch inside one
-/// join and thrown away), a RelationKeyIndex is built once over a catalog
-/// relation and probed by every delta evaluation until the relation is next
-/// mutated; the Catalog caches them per (relation, key columns).
+/// A hash index over a relation's tuple storage, keyed on a fixed column
+/// list — the one hash-join index of the data plane. Compiled delta plans
+/// probe catalog relations through indexes the Catalog caches per
+/// (relation, key columns), built once and reused until the relation is
+/// next mutated; transient joins (NaturalJoin, the in-memory operands of
+/// the physical evaluator, SelfMaintainer's initial semijoins) build one
+/// over their input and drop it.
 ///
 /// The index pins the underlying FlatCountsMap through a shared_ptr, so its
 /// slot pointers stay valid even if the owning Relation is mutated after the
@@ -127,7 +128,9 @@ class RelationKeyIndex {
   static constexpr uint32_t kNil = 0xffffffffu;
   static constexpr size_t kMinBuckets = 16;
 
-  // Fibonacci bucket mapping, as in FlatCountsMap/JoinBuildIndex.
+  // Fibonacci bucket mapping, as in FlatCountsMap: key hashes of
+  // correlated values are themselves correlated, and the multiply spreads
+  // them before the power-of-two truncation.
   size_t BucketOf(size_t h) const {
     return (h * size_t{0x9e3779b97f4a7c15ULL}) >> shift_;
   }

@@ -17,7 +17,7 @@
 namespace wvm {
 
 /// Hash-combining fold used for tuple hashing: a left fold of per-value
-/// hashes starting at kTupleHashSeed. Exposed so that key views and
+/// hashes starting at kTupleHashSeed. Exposed so that key indexes and
 /// concatenations can reproduce (or extend) a tuple's hash from per-value
 /// hashes without re-walking the tuple:
 ///
@@ -183,57 +183,12 @@ class Tuple {
 
 static_assert(sizeof(Tuple) == sizeof(void*), "a Tuple is one pointer");
 
-/// A non-owning view of selected columns of a tuple that hashes and compares
-/// exactly like the materialized projection `tuple.Project(*columns)`.
-/// Join kernels probe their hash tables with these views, so the per-probe
-/// key allocation of Tuple::Project disappears from the hot path.
-struct TupleKeyView {
-  TupleKeyView(const Tuple& t, const std::vector<size_t>& cols)
-      : tuple(&t), columns(&cols), hash(kTupleHashSeed) {
-    for (size_t c : cols) {
-      hash = TupleHashFold(hash, t.value(c).Hash());
-    }
-  }
-
-  const Tuple* tuple;
-  const std::vector<size_t>* columns;
-  size_t hash;
-};
-
 struct TupleHash {
-  using is_transparent = void;
   size_t operator()(const Tuple& t) const { return t.Hash(); }
-  size_t operator()(const TupleKeyView& v) const { return v.hash; }
 };
 
 struct TupleEq {
-  using is_transparent = void;
   bool operator()(const Tuple& a, const Tuple& b) const { return a == b; }
-  bool operator()(const TupleKeyView& v, const Tuple& t) const {
-    if (t.size() != v.columns->size()) {
-      return false;
-    }
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (t.value(i) != v.tuple->value((*v.columns)[i])) {
-        return false;
-      }
-    }
-    return true;
-  }
-  bool operator()(const Tuple& t, const TupleKeyView& v) const {
-    return (*this)(v, t);
-  }
-  bool operator()(const TupleKeyView& a, const TupleKeyView& b) const {
-    if (a.columns->size() != b.columns->size()) {
-      return false;
-    }
-    for (size_t i = 0; i < a.columns->size(); ++i) {
-      if (a.tuple->value((*a.columns)[i]) != b.tuple->value((*b.columns)[i])) {
-        return false;
-      }
-    }
-    return true;
-  }
 };
 
 std::ostream& operator<<(std::ostream& os, const Tuple& t);

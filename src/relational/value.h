@@ -78,8 +78,8 @@ class Value {
   std::variant<int64_t, double, std::string> data_;
 };
 
-/// Hash functor for unordered containers keyed by Value (e.g. the stored
-/// relations' per-column distinct-value statistics).
+/// Hash functor for unordered containers keyed by Value (e.g. the physical
+/// evaluator's probed values of one join step).
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };

@@ -2,44 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <limits>
-#include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "query/compiled_plan.h"
 #include "query/evaluator.h"
-#include "relational/algebra.h"
+#include "relational/column_block.h"
+#include "relational/key_index.h"
 #include "source/term_cache.h"
 
 namespace wvm {
 
 namespace {
-
-// Working set during Scenario 1 probe expansion: rows over an arbitrary
-// subset of combined-schema columns, tracked by `cols`.
-struct Frontier {
-  std::vector<size_t> cols;  // combined-schema column ids, in row order
-  std::vector<std::pair<Tuple, int64_t>> rows;
-
-  std::optional<size_t> PositionOf(size_t combined_col) const {
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] == combined_col) {
-        return i;
-      }
-    }
-    return std::nullopt;
-  }
-};
-
-// An equi-edge usable to join the frontier with relation position `p`:
-// frontier column -> attribute column within p's base schema.
-struct JoinLink {
-  size_t frontier_col = 0;   // index into Frontier::cols/row values
-  size_t relation_attr = 0;  // column within the relation's own schema
-};
 
 Result<const StoredRelation*> FindStored(const StorageMap& storage,
                                          const std::string& name) {
@@ -58,101 +37,6 @@ Result<Relation> JoinOperandsPlanned(const ViewDefinition& view,
   WVM_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledDeltaPlan> plan,
                        view.CompiledPlanFor(0));
   return ExecuteCompiledPlanOnOperands(*plan, operands);
-}
-
-// All equi-edges connecting current frontier columns to columns of
-// relation position `p`.
-std::vector<JoinLink> LinksTo(const ViewDefinition& view, const Frontier& f,
-                              size_t p) {
-  const size_t offset = view.relation_offset(p);
-  const size_t arity = view.relations()[p].schema.size();
-  std::vector<JoinLink> links;
-  for (const ViewDefinition::EquiEdge& e : view.equi_edges()) {
-    for (const auto& [a, b] : {std::pair<size_t, size_t>{e.left_column,
-                                                         e.right_column},
-                               std::pair<size_t, size_t>{e.right_column,
-                                                         e.left_column}}) {
-      if (b >= offset && b < offset + arity) {
-        std::optional<size_t> fcol = f.PositionOf(a);
-        if (fcol.has_value()) {
-          links.push_back(JoinLink{*fcol, b - offset});
-        }
-      }
-    }
-  }
-  return links;
-}
-
-// Assembles the frontier (which must cover every combined column) into a
-// relation in combined-schema order, then filters and projects.
-Result<Relation> FinishFrontier(const ViewDefinition& view, const Frontier& f,
-                                int coefficient) {
-  const size_t width = view.combined_schema().size();
-  std::vector<size_t> where(width, SIZE_MAX);
-  for (size_t i = 0; i < f.cols.size(); ++i) {
-    where[f.cols[i]] = i;
-  }
-  for (size_t c = 0; c < width; ++c) {
-    if (where[c] == SIZE_MAX) {
-      return Status::Internal(
-          StrCat("frontier missing combined column ", c));
-    }
-  }
-  Relation assembled(view.combined_schema());
-  assembled.Reserve(f.rows.size());
-  for (const auto& [row, count] : f.rows) {
-    assembled.Insert(row.Project(where), count);
-  }
-  // The full condition (not just the residual) is applied here: bound
-  // operands are seeded into the frontier by plain concatenation, so a
-  // spanning equi-edge between two bound tuples is enforced only by this
-  // filter. Seeding with links instead would skip the index probes the
-  // paper's cost model charges for dead compensation terms (Section 6.3).
-  Relation filtered = SelectBound(assembled, view.bound_cond());
-  Relation projected = ProjectIndices(filtered, view.projection_indices());
-  return projected.Scaled(coefficient);
-}
-
-// Appends relation position p's columns to the frontier by joining `tuples`
-// of that relation against it with an in-memory hash join on `links` (cross
-// product if none).
-void JoinInMemory(Frontier* f, const std::vector<Tuple>& tuples,
-                  const std::vector<JoinLink>& links, size_t offset,
-                  size_t arity) {
-  std::vector<std::pair<Tuple, int64_t>> out_rows;
-  if (links.empty()) {
-    for (const auto& [row, count] : f->rows) {
-      for (const Tuple& t : tuples) {
-        out_rows.emplace_back(row.Concat(t), count);
-      }
-    }
-  } else {
-    std::vector<size_t> rel_cols;
-    std::vector<size_t> frontier_cols;
-    for (const JoinLink& l : links) {
-      rel_cols.push_back(l.relation_attr);
-      frontier_cols.push_back(l.frontier_col);
-    }
-    std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash, TupleEq>
-        by_key;
-    by_key.reserve(tuples.size());
-    for (const Tuple& t : tuples) {
-      by_key[t.Project(rel_cols)].push_back(&t);
-    }
-    for (const auto& [row, count] : f->rows) {
-      auto it = by_key.find(TupleKeyView(row, frontier_cols));
-      if (it == by_key.end()) {
-        continue;
-      }
-      for (const Tuple* t : it->second) {
-        out_rows.emplace_back(row.Concat(*t), count);
-      }
-    }
-  }
-  f->rows = std::move(out_rows);
-  for (size_t a = 0; a < arity; ++a) {
-    f->cols.push_back(offset + a);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -184,35 +68,48 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
     return projected.Scaled(term.coefficient());
   }
 
-  // Seed the frontier with the cross product of the bound tuples (each a
-  // memory-resident singleton shipped with the query). Deliberately no join
-  // links here: a doubly-bound compensation term whose tuples disagree on a
-  // join attribute still runs its probes — the paper's cost model charges
-  // them — and dies in FinishFrontier's filter instead.
-  Frontier frontier;
-  frontier.rows.emplace_back(Tuple(), 1);
+  // The frontier is a block of the operands joined so far; pos_of maps each
+  // combined-schema column to its block column (kNotJoined until placed).
+  // It is seeded with the cross product of the bound tuples (each a
+  // memory-resident singleton shipped with the query), so one row.
+  // Deliberately no join links here: a doubly-bound compensation term whose
+  // tuples disagree on a join attribute still runs its probes — the paper's
+  // cost model charges them — and dies in the final filter instead.
+  std::vector<size_t> pos_of(view.combined_schema().size(), kNotJoined);
+  std::vector<Value> seed;
+  int64_t seed_count = 1;
   std::vector<bool> done(n, false);
   for (size_t i = 0; i < n; ++i) {
-    if (!term.operands()[i].is_bound) {
+    const TermOperand& op = term.operands()[i];
+    if (!op.is_bound) {
       continue;
     }
-    const SignedTuple& st = term.operands()[i].bound;
-    std::vector<Tuple> single = {st.tuple};
-    JoinInMemory(&frontier, single, {}, view.relation_offset(i),
-                 view.relations()[i].schema.size());
-    for (auto& [row, count] : frontier.rows) {
-      count *= st.sign;
+    WVM_RETURN_IF_ERROR(CheckBoundArity(term, i));
+    const size_t arity = view.relations()[i].schema.size();
+    for (size_t a = 0; a < arity; ++a) {
+      pos_of[view.relation_offset(i) + a] = seed.size();
+      seed.push_back(op.bound.tuple.value(a));
     }
+    seed_count *= op.bound.sign;
     done[i] = true;
   }
+  ColumnBlock frontier(seed.size());
+  frontier.AppendRow(seed, seed_count);
 
   // Expand one relation at a time, choosing the cheapest access path.
   for (size_t expanded = term.NumBound(); expanded < n; ++expanded) {
+    // The probe cost counts the frontier as a bag: a row stands for |count|
+    // tuples, since a scanned relation's copies of a tuple join as one row
+    // of their multiplicity.
+    int64_t frontier_tuples = 0;
+    for (size_t i = 0; i < frontier.rows(); ++i) {
+      frontier_tuples += std::abs(frontier.count(i));
+    }
     constexpr double kInf = std::numeric_limits<double>::infinity();
     double best_cost = kInf;
     size_t best_p = 0;
     bool best_is_probe = false;  // else a full scan
-    JoinLink best_link;
+    size_t best_key = 0;         // the probed key of the step
     std::string best_attr;
 
     for (size_t p = 0; p < n; ++p) {
@@ -228,10 +125,11 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
         best_p = p;
         best_is_probe = false;
       }
-      // Index probes along available links.
-      for (const JoinLink& link : LinksTo(view, frontier, p)) {
+      // Index probes along the step's keys.
+      const CompiledJoinStep step = JoinStepTo(view, pos_of, p);
+      for (size_t k = 0; k < step.op_keys.size(); ++k) {
         const std::string& attr =
-            view.relations()[p].schema.attribute(link.relation_attr).name;
+            view.relations()[p].schema.attribute(step.op_keys[k]).name;
         const IndexDef* idx = sr->FindIndex(attr);
         if (idx == nullptr) {
           continue;
@@ -241,13 +139,12 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
             idx->clustered
                 ? std::max(1.0, std::ceil(matches / sr->tuples_per_block()))
                 : matches;
-        const double cost =
-            static_cast<double>(frontier.rows.size()) * per_probe;
+        const double cost = static_cast<double>(frontier_tuples) * per_probe;
         if (cost < best_cost) {
           best_cost = cost;
           best_p = p;
           best_is_probe = true;
-          best_link = link;
+          best_key = k;
           best_attr = attr;
         }
       }
@@ -255,9 +152,9 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
 
     WVM_ASSIGN_OR_RETURN(const StoredRelation* sr,
                          FindStored(storage, view.relations()[best_p].name));
-    const size_t offset = view.relation_offset(best_p);
+    const CompiledJoinStep step = JoinStepTo(view, pos_of, best_p);
     const size_t arity = view.relations()[best_p].schema.size();
-    std::vector<JoinLink> all_links = LinksTo(view, frontier, best_p);
+    ColumnBlock next(frontier.width() + arity);
 
     if (best_is_probe) {
       io->LogPlan(StrCat("probe ", view.relations()[best_p].name, ".",
@@ -265,51 +162,53 @@ Result<Relation> EvaluateIndexed(const Term& term, const StorageMap& storage,
                          sr->FindIndex(best_attr)->clustered
                              ? " (clustered index)"
                              : " (non-clustered index)",
-                         " from ", frontier.rows.size(), " frontier rows"));
-      // Probe once per DISTINCT join value in the frontier: when the probe
-      // value comes straight from a bound tuple all frontier rows share it
-      // and the paper charges a single probe (e.g. IO2 = 2 for Q2), while
+                         " from ", frontier_tuples, " frontier rows"));
+      // Probe once per DISTINCT value of the probed column: when the value
+      // comes straight from a bound tuple all frontier rows share it and
+      // the paper charges a single probe (e.g. IO2 = 2 for Q2), while
       // generically distinct values charge one probe each (IO1 = 1 + J for
-      // Q1). No caching across expansion steps or terms.
-      std::unordered_map<Tuple, std::vector<Tuple>, TupleHash, TupleEq> probed;
-      const std::vector<size_t> probe_col = {best_link.frontier_col};
-      std::vector<std::pair<Tuple, int64_t>> out_rows;
-      for (const auto& [row, count] : frontier.rows) {
-        auto it = probed.find(TupleKeyView(row, probe_col));
+      // Q1). Every key of the step is then checked. No caching across
+      // expansion steps or terms.
+      const size_t probe_col = step.acc_keys[best_key];
+      std::unordered_map<Value, std::vector<Tuple>, ValueHash> probed;
+      for (size_t i = 0; i < frontier.rows(); ++i) {
+        const Value& key = frontier.at(i, probe_col);
+        auto it = probed.find(key);
         if (it == probed.end()) {
-          Tuple key = row.Project(probe_col);
-          WVM_ASSIGN_OR_RETURN(
-              std::vector<Tuple> matches,
-              sr->IndexProbe(best_attr, key.value(0), io, cache));
-          it = probed.emplace(std::move(key), std::move(matches)).first;
+          WVM_ASSIGN_OR_RETURN(std::vector<Tuple> matches,
+                               sr->IndexProbe(best_attr, key, io, cache));
+          it = probed.emplace(key, std::move(matches)).first;
         }
         for (const Tuple& t : it->second) {
-          bool keep = true;
-          for (const JoinLink& l : all_links) {
-            if (!(row.value(l.frontier_col) == t.value(l.relation_attr))) {
-              keep = false;
-              break;
-            }
-          }
-          if (keep) {
-            out_rows.emplace_back(row.Concat(t), count);
+          if (StepKeysMatch(frontier, i, step, t)) {
+            next.AppendJoined(frontier, i, t, 1);
           }
         }
-      }
-      frontier.rows = std::move(out_rows);
-      for (size_t a = 0; a < arity; ++a) {
-        frontier.cols.push_back(offset + a);
       }
     } else {
       io->LogPlan(StrCat("scan ", view.relations()[best_p].name, " (",
                          sr->NumBlocks(), " blocks), hash join"));
-      JoinInMemory(&frontier, sr->FullScan(io, cache), all_links, offset,
-                   arity);
+      Relation scanned(view.relations()[best_p].schema);
+      for (const Tuple& t : sr->FullScan(io, cache)) {
+        scanned.Insert(t, 1);
+      }
+      const RelationKeyIndex index(scanned.shared_entries(), step.op_keys);
+      ProbeStep(frontier, step, index, &next);
     }
+    for (size_t a = 0; a < arity; ++a) {
+      pos_of[view.relation_offset(best_p) + a] = frontier.width() + a;
+    }
+    frontier = std::move(next);
     done[best_p] = true;
   }
 
-  return FinishFrontier(view, frontier, term.coefficient());
+  // The full condition, not just the residual: the bound operands were
+  // seeded by plain cross product, so a spanning equi-edge between two
+  // bound tuples is enforced only here.
+  return GatherFiltered(frontier, pos_of,
+                        CompiledCondition{{}, view.bound_cond()},
+                        view.projection_indices(), view.output_schema(),
+                        term.coefficient());
 }
 
 // ---------------------------------------------------------------------------
@@ -417,96 +316,84 @@ Result<AnswerMessage> EvaluateQueryPhysical(const Query& query,
 
   ReadCache cache;
   ReadCache* cache_ptr = config.cache_within_query ? &cache : nullptr;
+  const std::vector<Term>& terms = query.terms();
+  const bool cross_query = term_cache != nullptr && term_cache->enabled();
+  const bool shared = cross_query || config.optimize_terms;
 
-  if (term_cache != nullptr && term_cache->enabled()) {
-    // Cross-query term cache. Serial per query (batch-level parallelism
-    // lives in Source::EvaluateQueryBatch); subsumes optimize_terms, since
-    // a repeated shape within this query hits the entry the first
-    // occurrence just filled. Hits charge no page reads; misses charge the
-    // normalized evaluation exactly as the serial path would.
-    for (const Term& t : query.terms()) {
-      int sign_product = 0;
-      Term normalized = t.Normalized(&sign_product);
-      const std::string signature = TermSignature(normalized);
-      std::optional<Relation> core =
-          term_cache->Lookup(signature, t.view().get(), io);
-      if (!core.has_value()) {
-        IOStats fill;
-        fill.record_plans = io->record_plans;
-        WVM_ASSIGN_OR_RETURN(
-            Relation value, EvaluateTermPhysical(normalized, storage, config,
-                                                 &fill, cache_ptr));
-        io->Merge(fill);
-        term_cache->Fill(signature, std::move(normalized), value,
-                         fill.page_reads, io);
-        core = std::move(value);
-      }
-      answer.term_delta_tags.push_back(t.delta_update_id());
-      answer.per_term.push_back(core->Scaled(sign_product));
+  // Without sharing and without a shared read-cache the terms are
+  // independent reads over the storage map, so they evaluate concurrently
+  // against per-term I/O meters. Merging the meters in term order below
+  // reproduces the serial counters and plan log bit-for-bit (the paper
+  // charges every term's I/O independently — Section 6.3 assumes no caching
+  // across terms). With a shared cache, charging depends on evaluation
+  // order, so only the serial order matches the model.
+  std::vector<std::optional<Result<Relation>>> parallel;
+  std::vector<IOStats> parallel_io;
+  if (!shared && terms.size() >= 2 && !config.cache_within_query &&
+      ThreadPool::Shared().num_threads() >= 2) {
+    parallel.resize(terms.size());
+    parallel_io.resize(terms.size());
+    for (IOStats& s : parallel_io) {
+      s.record_plans = io->record_plans;
     }
-    return answer;
+    ParallelFor(terms.size(), [&](size_t i) {
+      parallel[i] = EvaluateTermPhysical(terms[i], storage, config,
+                                         &parallel_io[i], nullptr);
+    });
   }
 
-  if (!config.optimize_terms) {
-    const std::vector<Term>& terms = query.terms();
-    if (terms.size() >= 2 && !config.cache_within_query &&
-        ThreadPool::Shared().num_threads() >= 2) {
-      // Without a shared read-cache the terms are independent reads over
-      // the storage map, so they evaluate concurrently against per-term
-      // I/O meters. Merging the meters in term order reproduces the serial
-      // counters and plan log bit-for-bit (the paper charges every term's
-      // I/O independently — Section 6.3 assumes no caching across terms).
-      // With a shared cache, charging depends on evaluation order, so the
-      // serial path below is the only one that matches the model.
-      std::vector<std::optional<Result<Relation>>> parts(terms.size());
-      std::vector<IOStats> term_io(terms.size());
-      for (IOStats& s : term_io) {
-        s.record_plans = io->record_plans;
+  // Shared evaluation: a term's answer is its normalized core (coefficient
+  // +1, bound signs +1) rescaled by the sign product Term::Normalized
+  // reports, so V<+t> and V<-t> share one evaluation. The core is looked up
+  // by signature in the cross-query term cache or, for the multiple-term
+  // optimization of Section 6.3, in a map scoped to this query. A miss is
+  // evaluated once and filled in; hits charge no page reads. The answer
+  // keeps one entry per term, so per-term delta tags stay intact.
+  std::unordered_map<std::string, Relation> query_scoped;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const Term& t = terms[i];
+    answer.term_delta_tags.push_back(t.delta_update_id());
+    if (!parallel.empty()) {
+      if (!parallel[i]->ok()) {
+        return parallel[i]->status();
       }
-      ParallelFor(terms.size(), [&](size_t i) {
-        parts[i] = EvaluateTermPhysical(terms[i], storage, config,
-                                        &term_io[i], nullptr);
-      });
-      for (size_t i = 0; i < terms.size(); ++i) {
-        if (!parts[i]->ok()) {
-          return parts[i]->status();
-        }
-        io->Merge(term_io[i]);
-        answer.term_delta_tags.push_back(terms[i].delta_update_id());
-        answer.per_term.push_back(*std::move(*parts[i]));
-      }
-      return answer;
+      io->Merge(parallel_io[i]);
+      answer.per_term.push_back(*std::move(*parallel[i]));
+      continue;
     }
-    for (const Term& t : terms) {
+    if (!shared) {
       WVM_ASSIGN_OR_RETURN(
           Relation part,
           EvaluateTermPhysical(t, storage, config, io, cache_ptr));
-      answer.term_delta_tags.push_back(t.delta_update_id());
       answer.per_term.push_back(std::move(part));
+      continue;
     }
-    return answer;
-  }
-
-  // Multiple-term optimization (Section 6.3): evaluate each structural
-  // shape once in normalized form (coefficient +1, bound signs +1), then
-  // rescale per original term. Keying on the sign-folded TermSignature lets
-  // V<+t> and V<-t> share one evaluation — their answers differ only by the
-  // sign product Term::Normalized reports. The answer keeps one entry per
-  // term, so per-term delta tags stay intact.
-  std::map<std::string, Relation> by_shape;
-  for (const Term& t : query.terms()) {
     int sign_product = 0;
-    Term base = t.Normalized(&sign_product);
-    const std::string key = TermSignature(base);
-    auto it = by_shape.find(key);
-    if (it == by_shape.end()) {
-      WVM_ASSIGN_OR_RETURN(
-          Relation value,
-          EvaluateTermPhysical(base, storage, config, io, cache_ptr));
-      it = by_shape.emplace(key, std::move(value)).first;
+    Term normalized = t.Normalized(&sign_product);
+    const std::string signature = TermSignature(normalized);
+    std::optional<Relation> core;
+    if (cross_query) {
+      core = term_cache->Lookup(signature, t.view().get(), io);
+    } else if (auto it = query_scoped.find(signature);
+               it != query_scoped.end()) {
+      core = it->second;
     }
-    answer.term_delta_tags.push_back(t.delta_update_id());
-    answer.per_term.push_back(it->second.Scaled(sign_product));
+    if (!core.has_value()) {
+      IOStats fill;
+      fill.record_plans = io->record_plans;
+      WVM_ASSIGN_OR_RETURN(
+          Relation value, EvaluateTermPhysical(normalized, storage, config,
+                                               &fill, cache_ptr));
+      io->Merge(fill);
+      if (cross_query) {
+        term_cache->Fill(signature, std::move(normalized), value,
+                         fill.page_reads, io);
+      } else {
+        query_scoped.emplace(signature, value);
+      }
+      core = std::move(value);
+    }
+    answer.per_term.push_back(core->Scaled(sign_product));
   }
   return answer;
 }

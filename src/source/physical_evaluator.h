@@ -18,8 +18,11 @@ enum class PhysicalScenario {
   /// by probing outward from bound tuples along equi-join edges through the
   /// declared indexes, with a cost-based choice between an index probe and
   /// a full scan per relation (reproducing the paper's 3*min(J,I)+3 plan
-  /// selection). Unbound (recomputation) terms read every relation once and
-  /// join in memory.
+  /// selection). The expansion runs on the compiled executor's pieces: a
+  /// ColumnBlock frontier, the plan's join-step keys, its probe step over a
+  /// scanned relation, and its fused filter-and-project gather, which
+  /// applies the view's full condition. Unbound (recomputation) terms read
+  /// every relation once and join in memory through the mask-0 plan.
   kIndexedMemory,
   /// Scenario 2: no indexes, only `buffer_blocks` memory blocks, blocked
   /// nested-loop joins. With two unbound relations the outer gets a
@@ -38,7 +41,9 @@ struct PhysicalConfig {
   /// `cache_within_query` charges each (relation, block) at most once per
   /// query; `optimize_terms` evaluates structurally identical terms of a
   /// multi-term query only once (their answers differ by coefficient
-  /// only). Both default off to match the paper's pessimistic accounting.
+  /// only), through the same signature lookup as the term cache with a
+  /// lifetime of one query. Both default off to match the paper's
+  /// pessimistic accounting.
   bool cache_within_query = false;
   bool optimize_terms = false;
 };
@@ -59,14 +64,16 @@ Result<Relation> EvaluateTermPhysical(const Term& term,
 /// Evaluates all terms of `query` and packages the per-term answers (with
 /// their delta tags) into one AnswerMessage.
 ///
-/// When `term_cache` is supplied (and enabled), every term is looked up by
-/// its structural signature first: hits charge no page reads, misses are
-/// evaluated normalized (coefficient +1, bound signs +1), charged to `io`,
-/// and filled into the cache — which also subsumes the within-query
-/// multiple-term optimization, since later identical terms of the same
-/// query hit the just-filled entry. The cache path is serial per query;
+/// When `term_cache` is supplied (and enabled), or `config.optimize_terms`
+/// is set, every term is looked up by its structural signature first, in
+/// the cache or in a map scoped to this query: hits charge no page reads,
+/// misses are evaluated normalized (coefficient +1, bound signs +1),
+/// charged to `io`, and filled in — so later identical terms of the same
+/// query hit the just-filled entry. That path is serial per query;
 /// concurrency comes from evaluating independent queries of a batch in
-/// parallel (Source::EvaluateQueryBatch).
+/// parallel (Source::EvaluateQueryBatch). Otherwise each term is evaluated
+/// as it is, concurrently on the shared thread pool when there are several
+/// terms and no `cache_within_query`.
 Result<AnswerMessage> EvaluateQueryPhysical(const Query& query,
                                             const StorageMap& storage,
                                             const PhysicalConfig& config,

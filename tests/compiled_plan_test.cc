@@ -225,20 +225,50 @@ TEST(ColumnarStorageTest, ColumnBlockRoundTripsRelations) {
   EXPECT_EQ(block.width(), 2u);
   EXPECT_EQ(block.rows(), 3u);
 
-  Relation back = block.Gather(r.schema(), {0, 1}, /*scale=*/1);
+  // The shared gather with an identity layout and no condition.
+  const std::vector<size_t> identity = {0, 1};
+  const CompiledCondition none;
+  Relation back =
+      GatherFiltered(block, identity, none, {0, 1}, r.schema(), /*scale=*/1);
   EXPECT_TRUE(back == r) << back.ToString() << " vs " << r.ToString();
 
   // Scaling multiplies every multiplicity; scale 0 annihilates.
-  Relation doubled = block.Gather(r.schema(), {0, 1}, /*scale=*/-2);
+  Relation doubled =
+      GatherFiltered(block, identity, none, {0, 1}, r.schema(), /*scale=*/-2);
   EXPECT_EQ(doubled.CountOf(Tuple::Ints({1, 2})), -6);
   EXPECT_EQ(doubled.CountOf(Tuple::Ints({4, 5})), 4);
-  Relation zero = block.Gather(r.schema(), {0, 1}, /*scale=*/0);
+  Relation zero =
+      GatherFiltered(block, identity, none, {0, 1}, r.schema(), /*scale=*/0);
   EXPECT_EQ(zero.NumDistinct(), 0u);
 
-  // Projection through out_cols, including column reordering.
-  Relation swapped = block.Gather(Schema::Ints({"y", "x"}), {1, 0}, 1);
+  // Projection, including column reordering, either through the projected
+  // columns or through the layout.
+  Relation swapped = GatherFiltered(block, identity, none, {1, 0},
+                                    Schema::Ints({"y", "x"}), 1);
   EXPECT_EQ(swapped.CountOf(Tuple::Ints({2, 1})), 3);
   EXPECT_EQ(swapped.CountOf(Tuple::Ints({5, 4})), -2);
+  Relation relaid = GatherFiltered(block, {1, 0}, none, {0, 1},
+                                   Schema::Ints({"y", "x"}), 1);
+  EXPECT_TRUE(relaid == swapped) << relaid.ToString();
+
+  // A condition leaf reads its column through the layout too: combined
+  // column 0 is x under the identity layout and y under the swapped one.
+  CompiledCondition col0_above_4;
+  CompiledResidualLeaf leaf;
+  leaf.lhs_is_col = true;
+  leaf.lhs_col = 0;
+  leaf.op = CompareOp::kGt;
+  leaf.rhs_const = Value(int64_t{4});
+  col0_above_4.leaves.push_back(leaf);
+  Relation x_above_4 =
+      GatherFiltered(block, identity, col0_above_4, {0, 1}, r.schema(), 1);
+  EXPECT_EQ(x_above_4.NumDistinct(), 1u);
+  EXPECT_EQ(x_above_4.CountOf(Tuple::Ints({6, 7})), 1);
+  Relation y_above_4 = GatherFiltered(block, {1, 0}, col0_above_4, {0, 1},
+                                      Schema::Ints({"y", "x"}), 1);
+  EXPECT_EQ(y_above_4.NumDistinct(), 2u);
+  EXPECT_EQ(y_above_4.CountOf(Tuple::Ints({5, 4})), -2);
+  EXPECT_EQ(y_above_4.CountOf(Tuple::Ints({7, 6})), 1);
 }
 
 TEST(ColumnarStorageTest, ColumnBlockSignedTupleAndJoinAppend) {

@@ -107,6 +107,81 @@ TEST(PhysicalScenario1Test, DoublyBoundCompensationTermsCostOne) {
   EXPECT_EQ(TermIO(&f, *tt), 1);
 }
 
+TEST(PhysicalScenario1Test, RejectsBoundTupleOfWrongArity) {
+  // A bound tuple arrives with the query. One that does not have its
+  // relation's arity is refused before any read, with the error the other
+  // evaluators give.
+  Fixture f = MakeFixture(PhysicalScenario::kIndexedMemory);
+  Term t = BoundTerm(f.workload, Update::Insert("r1", Tuple::Ints({42})));
+  IOStats io;
+  Result<Relation> r =
+      EvaluateTermPhysical(t, f.source.storage(), f.source.config(), &io);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(io.page_reads, 0);
+}
+
+TEST(PhysicalScenario1Test, DeadDoublyBoundTermStillPaysItsProbe) {
+  // Section 6.3 charges a compensation term's probes even when its bound
+  // tuples cannot join: r1 (42,3) and r2 (4,7) disagree on X, so the answer
+  // is empty, yet the term still probes r3 on Y once. The bound operands
+  // are seeded without join links and the full condition kills the row
+  // only at the end.
+  Fixture f = MakeFixture(PhysicalScenario::kIndexedMemory);
+  Term t = BoundTerm(f.workload, Update::Insert("r1", Tuple::Ints({42, 3})));
+  std::optional<Term> dead =
+      t.Substitute(Update::Insert("r2", Tuple::Ints({4, 7})));
+  ASSERT_TRUE(dead.has_value());
+  IOStats io;
+  Result<Relation> r = EvaluateTermPhysical(*dead, f.source.storage(),
+                                            f.source.config(), &io);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->IsEmpty()) << r->ToString();
+  EXPECT_EQ(io.page_reads, 1);
+}
+
+TEST(PhysicalScenario1Test, ProbeCostCountsScannedCopiesAsTuples) {
+  // K = 2. r3 holds three copies of (2,1) (2 blocks) and joins the bound
+  // r1 tuple by no edge, so it is scanned first, by cross product. r2 holds
+  // two copies of each (3,y), y < 5 (5 blocks; J = 10 on X, 2 on Y). The
+  // frontier then holds three tuples, one row of multiplicity 3, and the
+  // r2.Y probe costs 3 * 2 = 6 > 5, so r2 is scanned too. Costing the
+  // frontier by rows (1 * 2) would probe instead.
+  Random rng(1);
+  Result<Workload> w = MakeExample6Workload({/*c=*/10, /*j=*/2}, &rng);
+  ASSERT_TRUE(w.ok()) << w.status();
+  Relation r1(w->defs[0].schema);
+  Relation r2(w->defs[1].schema);
+  Relation r3(w->defs[2].schema);
+  for (int64_t y = 0; y < 5; ++y) {
+    r2.Insert(Tuple::Ints({3, y}), 2);
+  }
+  r3.Insert(Tuple::Ints({2, 1}), 3);
+  Catalog initial;
+  ASSERT_TRUE(initial.DefineWithData(w->defs[0], r1).ok());
+  ASSERT_TRUE(initial.DefineWithData(w->defs[1], r2).ok());
+  ASSERT_TRUE(initial.DefineWithData(w->defs[2], r3).ok());
+  PhysicalConfig config;
+  config.tuples_per_block = 2;
+  Result<Source> source =
+      Source::Create(initial, config, w->scenario1_indexes);
+  ASSERT_TRUE(source.ok()) << source.status();
+
+  Term t = *Term::FromView(w->view).Substitute(
+      Update::Insert("r1", Tuple::Ints({42, 3})));
+  IOStats io;
+  io.record_plans = true;
+  Result<Relation> r =
+      EvaluateTermPhysical(t, source->storage(), config, &io);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(io.plan_log.size(), 2u);
+  EXPECT_EQ(io.plan_log[0], "scan r3 (2 blocks), hash join");
+  EXPECT_EQ(io.plan_log[1], "scan r2 (5 blocks), hash join");
+  EXPECT_EQ(io.page_reads, 2 + 5);
+  // W = 42 > Z = 1, once per copy of the joining r2 and r3 rows.
+  EXPECT_EQ(r->NumDistinct(), 1u);
+  EXPECT_EQ(r->CountOf(Tuple::Ints({42, 1})), 2 * 3);
+}
+
 TEST(PhysicalScenario1Test, PlannerFallsBackToScansWhenJExceedsI) {
   // With J = 50 > I = 5 index chains are more expensive than reading the
   // relations outright; the planner must pick scans (paper: 3I + 3 regime).

@@ -250,6 +250,125 @@ TEST(SelfMaintainerTest, PrunedComplementsHoldOnlyDimensionRows) {
   EXPECT_TRUE(m.aux_live());
 }
 
+// Nested-loop reference for the complements Initialize builds: a full
+// complement mirrors its relation; a pruned one keeps, at its multiplicity,
+// every live row that some live row of a relation with a resolution edge
+// into it references.
+Relation ReferenceComplement(const SelfMaintainer& m, const ViewDefinition& view,
+                             const Catalog& initial, size_t ri) {
+  const Relation& src = **initial.Get(view.relations()[ri].name);
+  if (m.analysis().complement(ri).mode !=
+      SelfMaintenanceAnalysis::Complement::Mode::kPruned) {
+    return src;
+  }
+  Relation expected(src.schema());
+  for (const auto& [t, count] : src.entries()) {
+    bool referenced = false;
+    for (const SelfMaintenanceAnalysis::ResolutionEdge& e :
+         m.analysis().resolution_edges()) {
+      if (e.to != ri) {
+        continue;
+      }
+      const Relation& from = **initial.Get(view.relations()[e.from].name);
+      for (const auto& [f, from_count] : from.entries()) {
+        bool joins = from_count > 0;
+        for (size_t k = 0; joins && k < e.to_cols.size(); ++k) {
+          joins = f.value(e.from_cols[k]) == t.value(e.to_cols[k]);
+        }
+        referenced = referenced || joins;
+      }
+    }
+    if (count > 0 && referenced) {
+      expected.Insert(t, count);
+    }
+  }
+  return expected;
+}
+
+void ExpectComplementsAreTheInitialSemijoin(const ViewDefinitionPtr& view,
+                                            const Catalog& initial,
+                                            const std::string& label) {
+  SelfMaintainer m(view);
+  ASSERT_TRUE(m.Initialize(initial).ok()) << label;
+  size_t pruned = 0;
+  for (size_t ri = 0; ri < view->num_relations(); ++ri) {
+    const std::string& name = view->relations()[ri].name;
+    const auto mode = m.analysis().complement(ri).mode;
+    Result<const Relation*> aux = m.complements().Get(name);
+    if (mode == SelfMaintenanceAnalysis::Complement::Mode::kNone) {
+      EXPECT_FALSE(aux.ok()) << label << ": " << name;
+      continue;
+    }
+    pruned += mode == SelfMaintenanceAnalysis::Complement::Mode::kPruned;
+    ASSERT_TRUE(aux.ok()) << label << ": " << name;
+    const Relation expected = ReferenceComplement(m, *view, initial, ri);
+    EXPECT_EQ((*aux)->SortedEntries(), expected.SortedEntries())
+        << label << ": " << name;
+  }
+  EXPECT_GT(pruned, 0u) << label << ": no pruned complement to check";
+}
+
+TEST(SelfMaintainerTest, PrunedComplementsAreTheInitialSemijoin) {
+  {
+    FkStarConfig config;
+    Workload w = MustMakeFkStar(config);
+    ExpectComplementsAreTheInitialSemijoin(w.view, w.initial, "fk-star");
+  }
+
+  // Two referencing relations, orders and returns, each with a realized
+  // foreign key into parts: two resolution edges lead into one pruned
+  // complement, and a part both reference must be kept once. Part 1 has
+  // multiplicity 2, part 4 is referenced only by a row of multiplicity -1,
+  // and part 5 by nothing.
+  std::vector<BaseRelationDef> defs = {
+      {"orders", Schema({{"O", ValueType::kInt, /*is_key=*/true},
+                         {"P", ValueType::kInt, /*is_key=*/false}})},
+      {"returns", Schema({{"R", ValueType::kInt, /*is_key=*/true},
+                          {"P", ValueType::kInt, /*is_key=*/false}})},
+      {"parts", Schema({{"P", ValueType::kInt, /*is_key=*/true},
+                        {"S", ValueType::kInt, /*is_key=*/false}})}};
+  SchemaConstraints constraints = SchemaConstraints::FromSchemas(defs);
+  ASSERT_TRUE(constraints
+                  .DeclareForeignKey({"orders", {"P"}, "parts", {"P"}})
+                  .ok());
+  ASSERT_TRUE(constraints
+                  .DeclareForeignKey({"returns", {"P"}, "parts", {"P"}})
+                  .ok());
+  Result<ViewDefinitionPtr> view = ViewDefinition::NaturalJoin(
+      "V", defs, {"O", "R", "parts.P", "S"}, Predicate(),
+      std::move(constraints));
+  ASSERT_TRUE(view.ok()) << view.status();
+
+  Relation orders(defs[0].schema);
+  Relation returns(defs[1].schema);
+  Relation parts(defs[2].schema);
+  for (int64_t p = 0; p < 6; ++p) {
+    parts.Insert(Tuple::Ints({p, 10 + p}), p == 1 ? 2 : 1);
+  }
+  orders.Insert(Tuple::Ints({100, 0}));
+  orders.Insert(Tuple::Ints({101, 1}));
+  orders.Insert(Tuple::Ints({102, 2}));
+  orders.Insert(Tuple::Ints({103, 2}));
+  returns.Insert(Tuple::Ints({200, 2}));
+  returns.Insert(Tuple::Ints({201, 3}));
+  returns.Insert(Tuple::Ints({202, 4}), -1);
+  Catalog initial;
+  ASSERT_TRUE(initial.DefineWithData(defs[0], orders).ok());
+  ASSERT_TRUE(initial.DefineWithData(defs[1], returns).ok());
+  ASSERT_TRUE(initial.DefineWithData(defs[2], parts).ok());
+
+  SelfMaintainer m(*view);
+  ASSERT_TRUE(m.Initialize(initial).ok());
+  ASSERT_EQ(m.analysis().resolution_edges().size(), 2u);
+  Result<const Relation*> pruned = m.complements().Get("parts");
+  ASSERT_TRUE(pruned.ok());
+  EXPECT_EQ((*pruned)->NumDistinct(), 4u) << (*pruned)->ToString();
+  EXPECT_EQ((*pruned)->CountOf(Tuple::Ints({1, 11})), 2);
+  EXPECT_EQ((*pruned)->CountOf(Tuple::Ints({2, 12})), 1);
+  EXPECT_EQ((*pruned)->CountOf(Tuple::Ints({4, 14})), 0);
+  ExpectComplementsAreTheInitialSemijoin(*view, initial, "two edges");
+}
+
 TEST(SelfMaintainerTest, PrewarmsPairwiseCompensationMasks) {
   Workload w = MustMakeFkStar();
   SelfMaintainer m(w.view);
